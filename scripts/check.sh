@@ -16,6 +16,8 @@
 # query engine, `fuzz` = archive bitstream mutations; DESIGN.md §12),
 # failing if they left any testkit_seed_* replay files behind — a leftover
 # seed file means a divergence or contract violation was dumped for replay.
+# Last, the end-to-end benchmark's smoke test runs every BENCHMARK.json
+# workload for one second with its correctness gates (perfbench/README.md).
 #
 # Usage: scripts/check.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -108,5 +110,8 @@ if [ -n "${LEFTOVER_SEEDS}" ]; then
   echo "${LEFTOVER_SEEDS}"
   exit 1
 fi
+
+echo "== end-to-end benchmark smoke: every workload, gates included =="
+python3 perfbench/test_smoke.py
 
 echo "check.sh: all suites passed"

@@ -225,7 +225,7 @@ std::string fmt_double(double v) {
 
 }  // namespace
 
-QueryRun run_engine(const Table& table, const QuerySpec& spec) {
+warehouse::Query engine_query(const Table& table, const QuerySpec& spec) {
   warehouse::Query q(table);
   if (spec.has_where) {
     if (spec.opaque) {
@@ -265,6 +265,11 @@ QueryRun run_engine(const Table& table, const QuerySpec& spec) {
     }
   }
   q.group_by(spec.group_by).aggregate(spec.aggs).threads(spec.threads);
+  return q;
+}
+
+QueryRun run_engine(const Table& table, const QuerySpec& spec) {
+  const warehouse::Query q = engine_query(table, spec);
   QueryRun run{q.run(), q.stats()};
   return run;
 }

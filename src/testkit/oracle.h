@@ -72,6 +72,11 @@ struct QueryRun {
   warehouse::QueryStats stats;
 };
 
+/// `spec` compiled into a real warehouse::Query over `table` (at
+/// `spec.threads`), ready to run; `table` must outlive it.
+[[nodiscard]] warehouse::Query engine_query(const warehouse::Table& table,
+                                            const QuerySpec& spec);
+
 /// Execute `spec` through the real vectorized engine at `spec.threads`.
 [[nodiscard]] QueryRun run_engine(const warehouse::Table& table, const QuerySpec& spec);
 

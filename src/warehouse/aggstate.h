@@ -149,6 +149,8 @@ class TimeTreeFold {
     for (std::size_t a = 0; a < naggs_; ++a) merge_state(w_[a], states[a]);
   }
 
+  /// Flushes the open buckets into `total` and leaves the fold empty, so
+  /// the next add() starts a fresh fold into the same `total`.
   void finish() {
     if (!any_) return;
     flush(w_, m_);

@@ -9,16 +9,15 @@
 // first-seen order. The day-level cell states are the natural *partial*:
 // they are complete for any row subset that never splits a (sub-tuple, day)
 // cell, and the fold/merge stages are pure functions of them. This header
-// extracts that boundary from the executor:
+// exposes that boundary:
 //
-//   collect()          scan-side: match list → day-level tuple partials
-//                      (Query::run itself is built on it, so the identity
-//                      "merge of partials == single scan" holds by
-//                      construction, not by luck)
-//   fold_groups()      the engine's fold+merge stage over a Collected set
-//   merge_partials()   coordinator-side: union shard partials, order
-//                      tuples by rank, fold, and emit the same "_agg"
-//                      table a single-warehouse scan would produce
+//   Query::run_partial()  shard side: the day-level tuple partials of a
+//                         query, built from the same sorted cell runs
+//                         Query::run folds, so the identity "merge of
+//                         partials == single scan" holds by construction
+//   merge_partials()      coordinator side: union shard partials, order
+//                         tuples by rank, fold, and emit the same "_agg"
+//                         table a single-warehouse scan would produce
 //
 // Determinism across shards: the engine emits groups (and sub-tuples within
 // a group) in first-match order. On a table sorted ascending by a unique
@@ -38,7 +37,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/cancel.h"
 #include "warehouse/aggstate.h"
 #include "warehouse/query.h"
 #include "warehouse/table.h"
@@ -63,9 +61,9 @@ struct KeyValue {
 struct TuplePartial {
   std::vector<KeyValue> group;  // group-key values, spec order
   std::vector<KeyValue> extra;  // partition subkeys not among the group keys
-  /// Minimum rank-column value among the tuple's matching rows (collect with
-  /// a rank column; the federation uses job_id). With no rank column this is
-  /// the tuple's first-seen index — meaningful only within one collect().
+  /// Minimum rank-column value among the tuple's matching rows (run_partial
+  /// with a rank column; the federation uses job_id). With no rank column
+  /// this is the tuple's first-seen index — meaningful only within one run.
   std::int64_t rank = 0;
   std::vector<std::int64_t> days;  // ascending day indices with matches
   std::vector<AggState> states;    // [day_idx * naggs + agg]
@@ -80,36 +78,6 @@ struct Partial {
   std::size_t naggs = 0;
   std::vector<TuplePartial> tuples;
 };
-
-/// collect() output: the tuples plus the first-seen group structure the
-/// engine's own emission path consumes.
-struct Collected {
-  std::vector<std::pair<std::string, ColType>> key_schema;
-  std::size_t naggs = 0;
-  std::vector<TuplePartial> tuples;                // first-seen sub-tuple order
-  std::vector<std::vector<std::uint32_t>> groups;  // first-seen group → tuple idx
-  std::vector<std::size_t> group_example_row;      // first matching row per group
-};
-
-/// Scan-side partial production over an ordered match list (pass 1+2 of the
-/// §16 contract). `match_rows == nullptr` means rows [0, total_matches).
-/// When `rank_column` is non-empty it must name an int64 column; each
-/// tuple's rank is the minimum of that column over its matching rows.
-/// Throws InvalidArgument when the table has no time partition or the
-/// key + subkey tuple exceeds the 8-word cell key. Polls `cancel` at
-/// segment granularity (throws common::Cancelled).
-[[nodiscard]] Collected collect(const Table& table,
-                                const std::vector<std::string>& group_by,
-                                const std::vector<AggSpec>& aggs,
-                                const std::uint32_t* match_rows,
-                                std::size_t total_matches,
-                                const std::string& rank_column,
-                                const common::CancelToken* cancel);
-
-/// The engine's fold stage: per tuple, tree-fold its day cells in ascending
-/// day order; then merge tuple totals into their group, in the tuple order
-/// `c.groups` lists. Output is group-major: [group * naggs + agg].
-[[nodiscard]] std::vector<AggState> fold_groups(const Collected& c);
 
 /// Coordinator-side merge: union tuples across shards by exact key values
 /// (day lists merge; a day present in two partials — a placement that split

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cmath>
-#include <cstring>
 #include <limits>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/error.h"
@@ -158,18 +157,66 @@ struct PackedKey {
   bool operator==(const PackedKey&) const = default;
 };
 
+/// splitmix64 finalizer chained over a word tuple.
+std::uint64_t hash_words(const std::uint64_t* words, std::size_t n) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ull;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t z = h ^ words[i];
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    h = z ^ (z >> 31);
+  }
+  return h;
+}
+
 struct PackedKeyHash {
   std::size_t operator()(const PackedKey& k) const noexcept {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (const std::uint64_t word : k.w) {
-      std::uint64_t z = h ^ word;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      h = z ^ (z >> 31);
-    }
-    return static_cast<std::size_t>(h);
+    return static_cast<std::size_t>(hash_words(k.w.data(), k.w.size()));
   }
 };
+
+std::uint64_t key_ref_word(const KeyRef& ref, std::uint32_t r) {
+  switch (ref.type) {
+    case ColType::kString:
+      return static_cast<std::uint32_t>(ref.codes[r]);
+    case ColType::kInt64:
+      return static_cast<std::uint64_t>(ref.i64[r]);
+    case ColType::kDouble:
+      return std::bit_cast<std::uint64_t>(ref.f64[r]);
+  }
+  return 0;
+}
+
+/// Cancellation safe point. The engine polls at chunk and segment
+/// granularity (every kSegmentRows matches at most), never per row.
+void poll_cancel(const common::CancelToken* cancel) {
+  if (cancel != nullptr && cancel->stop_requested()) {
+    throw common::Cancelled("query abandoned at safe point");
+  }
+}
+
+/// Row of match position `j`; a null match list is the identity.
+std::uint32_t row_at(const std::uint32_t* match_rows, std::size_t j) {
+  return match_rows != nullptr ? match_rows[j] : static_cast<std::uint32_t>(j);
+}
+
+/// Runs `body(begin, end)` over [0, n) in kSegmentRows blocks, polling the
+/// cancel token before each block.
+template <typename Body>
+void for_blocks(std::size_t n, const common::CancelToken* cancel, Body&& body) {
+  for (std::size_t begin = 0; begin < n; begin += kSegmentRows) {
+    poll_cancel(cancel);
+    body(begin, std::min(n, begin + kSegmentRows));
+  }
+}
+
+/// The kernel table for a run, pinned once. The AVX2 kernels gather through
+/// row indices as signed 32-bit lanes, so a table past 2^31 rows takes the
+/// scalar table — legal at any time because every tier is bit-identical.
+const kernels::KernelTable& run_kernels(std::size_t nrows) {
+  return nrows > (std::size_t{1} << 31) ? kernels::table_for(common::simd::Tier::kScalar)
+                                        : kernels::active();
+}
 
 /// A predicate conjunct compiled against column storage.
 struct Kernel {
@@ -361,20 +408,7 @@ void radix_group_segment(SegmentPartial& part, const std::vector<KeyRef>& key_re
   for (std::size_t j = 0; j < len; ++j) {
     const std::uint32_t r = row_of(j);
     PackedKey key;
-    for (std::size_t k = 0; k < key_refs.size(); ++k) {
-      const KeyRef& ref = key_refs[k];
-      switch (ref.type) {
-        case ColType::kString:
-          key.w[k] = static_cast<std::uint32_t>(ref.codes[r]);
-          break;
-        case ColType::kInt64:
-          key.w[k] = static_cast<std::uint64_t>(ref.i64[r]);
-          break;
-        case ColType::kDouble:
-          key.w[k] = std::bit_cast<std::uint64_t>(ref.f64[r]);
-          break;
-      }
-    }
+    for (std::size_t k = 0; k < key_refs.size(); ++k) key.w[k] = key_ref_word(key_refs[k], r);
     keys[j] = key;
     const std::uint64_t h = PackedKeyHash{}(key);
     hashes[j] = h;
@@ -444,38 +478,6 @@ void radix_group_segment(SegmentPartial& part, const std::vector<KeyRef>& key_re
   }
 }
 
-/// Micro-cell key for the time-partitioned contract: group-key words, then
-/// partition-subkey words not already group keys, then the day index.
-struct WideKey {
-  std::array<std::uint64_t, 8> w{};
-  bool operator==(const WideKey&) const = default;
-};
-
-struct WideKeyHash {
-  std::size_t operator()(const WideKey& k) const noexcept {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (const std::uint64_t word : k.w) {
-      std::uint64_t z = h ^ word;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      h = z ^ (z >> 31);
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-std::uint64_t key_ref_word(const KeyRef& ref, std::uint32_t r) {
-  switch (ref.type) {
-    case ColType::kString:
-      return static_cast<std::uint32_t>(ref.codes[r]);
-    case ColType::kInt64:
-      return static_cast<std::uint64_t>(ref.i64[r]);
-    case ColType::kDouble:
-      return std::bit_cast<std::uint64_t>(ref.f64[r]);
-  }
-  return 0;
-}
-
 /// Planning + phase 1 of Query::run, shared with run_partial(): compile the
 /// predicate into typed kernels, zone-prune, and produce the ordered match
 /// list plus scan accounting.
@@ -492,12 +494,6 @@ ScanResult scan_phase(const Table& table, const std::optional<RowPredicate>& pre
   if (nrows > std::numeric_limits<std::uint32_t>::max()) {
     throw common::InvalidArgument("query: table exceeds 2^32 rows");
   }
-  const auto check_cancel = [cancel] {
-    if (cancel != nullptr && cancel->stop_requested()) {
-      throw common::Cancelled("query abandoned at safe point");
-    }
-  };
-
   // Predicate plan. Exact predicates compile each conjunct into a typed
   // kernel; opaque ones fall back to the closure per row. Bounds over
   // existing columns additionally become zone-map prune tests.
@@ -561,12 +557,7 @@ ScanResult scan_phase(const Table& table, const std::optional<RowPredicate>& pre
   QueryStats& st = res.st;
   if (prune) st.chunks_total = zi->chunks;
 
-  // ISA tier pinned once per run. The AVX2 kernels gather through row
-  // indices as signed 32-bit lanes, so a table past 2^31 rows takes the
-  // scalar table — legal at any time because every tier is bit-identical.
-  const kernels::KernelTable& kt = nrows > (std::size_t{1} << 31)
-                                       ? kernels::table_for(common::simd::Tier::kScalar)
-                                       : kernels::active();
+  const kernels::KernelTable& kt = run_kernels(nrows);
 
   // Per-run scan state, hoisted out of the pool workers: an equality literal
   // absent from its dictionary kills every chunk at once, and zone-map prune
@@ -595,7 +586,7 @@ ScanResult scan_phase(const Table& table, const std::optional<RowPredicate>& pre
   std::vector<ChunkResult> chunks(res.identity ? 0 : nchunks);
   if (!res.identity) {
     common::pool_run(nchunks, threads, 0, [&](std::size_t ch) {
-      check_cancel();
+      poll_cancel(cancel);
       ChunkResult& cres = chunks[ch];
       if (!chunk_pruned.empty() && chunk_pruned[ch] != 0) {
         cres.pruned = true;
@@ -694,44 +685,19 @@ partial::KeyValue make_key_value(const Column& c, std::size_t r) {
   return v;
 }
 
-}  // namespace
+/// Column references of one query, resolved once and shared by both
+/// aggregation contracts and by run_partial.
+struct ColumnRefs {
+  std::vector<KeyRef> keys;
+  std::vector<AggRef> aggs;
+};
 
-namespace partial {
-
-// Phase 2 of the time-partitioned contract (DESIGN.md §16), extracted from
-// the executor so a federation shard can ship the intermediate state.
-// Values accumulate into micro-cells keyed by (group keys, partition
-// subkeys, end-day) purely sequentially in match order — a cell is never
-// split across segments or threads — then cells bucket into groups and,
-// within each group, into partition sub-tuples; both orders inherit
-// first-seen from the cells (= ascending first match position). Each
-// sub-tuple's day cells come out sorted ascending, ready for the calendar
-// tree fold (fold_groups locally, merge_partials at a coordinator). The
-// cross-dimension merge stays outermost so the same numbers are
-// reproducible from materialized rollup cells at ANY bucket level: a week
-// cell is exactly the tree-fold of its day cells.
-Collected collect(const Table& table, const std::vector<std::string>& group_by,
-                  const std::vector<AggSpec>& aggs, const std::uint32_t* match_rows,
-                  std::size_t total_matches, const std::string& rank_column,
-                  const common::CancelToken* cancel) {
-  if (table.time_partition().empty()) {
-    throw common::InvalidArgument("partial collect: table has no time partition");
-  }
-  if (group_by.size() > kMaxGroupKeys) {
-    throw common::InvalidArgument("query supports at most 4 group keys");
-  }
-  const auto check_cancel = [cancel] {
-    if (cancel != nullptr && cancel->stop_requested()) {
-      throw common::Cancelled("query abandoned at safe point");
-    }
-  };
-
-  const std::size_t naggs = aggs.size();
-  std::vector<KeyRef> key_refs;
-  key_refs.reserve(group_by.size());
-  for (const auto& k : group_by) key_refs.push_back(make_key_ref(table.col(k)));
-  std::vector<AggRef> agg_refs;
-  agg_refs.reserve(naggs);
+ColumnRefs resolve_refs(const Table& table, const std::vector<std::string>& keys,
+                        const std::vector<AggSpec>& aggs) {
+  ColumnRefs refs;
+  refs.keys.reserve(keys.size());
+  for (const auto& k : keys) refs.keys.push_back(make_key_ref(table.col(k)));
+  refs.aggs.reserve(aggs.size());
   for (const auto& a : aggs) {
     AggRef ref;
     ref.kind = a.kind;
@@ -739,245 +705,27 @@ Collected collect(const Table& table, const std::vector<std::string>& group_by,
       ref.value = numeric_ref(table.col(a.column));
       if (a.kind == AggKind::kWeightedMean) ref.weight = numeric_ref(table.col(a.weight));
     }
-    agg_refs.push_back(ref);
+    refs.aggs.push_back(ref);
   }
-
-  const Column& tp = table.col(table.time_partition());
-  const std::int64_t* end_vals = tp.int64s().data();
-
-  std::vector<std::string> extra_names;  // partition subkeys not already group keys
-  std::vector<KeyRef> extra_refs;
-  for (const auto& name : table.time_partition_subkeys()) {
-    if (std::find(group_by.begin(), group_by.end(), name) != group_by.end()) continue;
-    extra_names.push_back(name);
-    extra_refs.push_back(make_key_ref(table.col(name)));
-  }
-  const std::size_t nkeys = key_refs.size();
-  const std::size_t nextra = extra_refs.size();
-  if (nkeys + nextra + 1 > 8) {
-    throw common::InvalidArgument("time-partitioned query: key + subkey tuple too wide");
-  }
-
-  const std::int64_t* rank_vals = nullptr;
-  if (!rank_column.empty()) {
-    const Column& rc = table.col(rank_column);
-    if (rc.type() != ColType::kInt64) {
-      throw common::InvalidArgument("partial collect: rank column " + rank_column +
-                                    " must be int64");
-    }
-    rank_vals = rc.int64s().data();
-  }
-
-  // Pass 1: sequential micro-cell accumulation in match order.
-  struct Cell {
-    std::uint32_t example_row = 0;  // first matching row of the cell
-    std::int64_t day = 0;
-    std::int64_t rank = 0;  // min rank-column value over the cell's rows
-  };
-  std::unordered_map<WideKey, std::uint32_t, WideKeyHash> cell_index;
-  std::vector<Cell> cells;              // first-seen order
-  std::vector<AggState> cell_states;    // [cell * naggs + agg]
-  for (std::size_t j = 0; j < total_matches; ++j) {
-    if ((j & (kSegmentRows - 1)) == 0) check_cancel();
-    const std::uint32_t r =
-        match_rows != nullptr ? match_rows[j] : static_cast<std::uint32_t>(j);
-    WideKey key;
-    std::size_t k = 0;
-    for (const auto& ref : key_refs) key.w[k++] = key_ref_word(ref, r);
-    for (const auto& ref : extra_refs) key.w[k++] = key_ref_word(ref, r);
-    const std::int64_t day = end_day_index(end_vals[r]);
-    key.w[k] = static_cast<std::uint64_t>(day);
-    const auto [it, inserted] = cell_index.emplace(key, static_cast<std::uint32_t>(cells.size()));
-    if (inserted) {
-      cells.push_back({r, day, rank_vals != nullptr ? rank_vals[r] : 0});
-      cell_states.resize(cell_states.size() + naggs);
-    } else if (rank_vals != nullptr) {
-      Cell& cell = cells[it->second];
-      cell.rank = std::min(cell.rank, rank_vals[r]);
-    }
-    update_aggs(agg_refs, cell_states.data() + std::size_t{it->second} * naggs, r);
-  }
-  check_cancel();
-
-  // Pass 2: bucket cells into groups and sub-tuples, first-seen order.
-  struct Sub {
-    std::vector<std::uint32_t> cells;
-  };
-  std::unordered_map<WideKey, std::uint32_t, WideKeyHash> sub_index;  // words minus day
-  std::vector<Sub> subs;
-  std::unordered_map<PackedKey, std::uint32_t, PackedKeyHash> group_index;
-
-  Collected out;
-  out.naggs = naggs;
-  for (const auto& k : group_by) out.key_schema.emplace_back(k, table.col(k).type());
-  for (std::uint32_t c = 0; c < cells.size(); ++c) {
-    const std::uint32_t r = cells[c].example_row;
-    PackedKey gkey;
-    WideKey skey;
-    std::size_t k = 0;
-    for (const auto& ref : key_refs) {
-      const std::uint64_t w = key_ref_word(ref, r);
-      gkey.w[k] = w;
-      skey.w[k] = w;
-      ++k;
-    }
-    for (const auto& ref : extra_refs) skey.w[k++] = key_ref_word(ref, r);
-    const auto [git, ginserted] =
-        group_index.emplace(gkey, static_cast<std::uint32_t>(out.group_example_row.size()));
-    if (ginserted) {
-      out.group_example_row.push_back(r);
-      out.groups.emplace_back();
-    }
-    const auto [sit, sinserted] =
-        sub_index.emplace(skey, static_cast<std::uint32_t>(subs.size()));
-    if (sinserted) {
-      subs.emplace_back();
-      out.groups[git->second].push_back(sit->second);
-    }
-    subs[sit->second].cells.push_back(c);
-  }
-
-  // Pass 3: materialize one TuplePartial per sub-tuple, day cells ascending.
-  out.tuples.resize(subs.size());
-  for (std::size_t s = 0; s < subs.size(); ++s) {
-    std::vector<std::uint32_t>& cs = subs[s].cells;
-    std::sort(cs.begin(), cs.end(), [&cells](std::uint32_t a, std::uint32_t b) {
-      return cells[a].day < cells[b].day;  // days are unique within a sub
-    });
-    TuplePartial& t = out.tuples[s];
-    const std::uint32_t r0 = cells[cs.front()].example_row;
-    t.group.reserve(nkeys);
-    for (const auto& k : group_by) t.group.push_back(make_key_value(table.col(k), r0));
-    t.extra.reserve(nextra);
-    for (const auto& name : extra_names) t.extra.push_back(make_key_value(table.col(name), r0));
-    t.rank = rank_vals != nullptr ? cells[cs.front()].rank : static_cast<std::int64_t>(s);
-    t.days.reserve(cs.size());
-    t.states.reserve(cs.size() * naggs);
-    for (const std::uint32_t c : cs) {
-      if (rank_vals != nullptr) t.rank = std::min(t.rank, cells[c].rank);
-      t.days.push_back(cells[c].day);
-      t.states.insert(t.states.end(), cell_states.begin() + std::size_t{c} * naggs,
-                      cell_states.begin() + (std::size_t{c} + 1) * naggs);
-    }
-  }
-  return out;
+  return refs;
 }
 
-std::vector<AggState> fold_groups(const Collected& c) {
-  const std::size_t naggs = c.naggs;
-  std::vector<AggState> sub_states(c.tuples.size() * naggs);
-  for (std::size_t s = 0; s < c.tuples.size(); ++s) {
-    const TuplePartial& t = c.tuples[s];
-    TimeTreeFold fold(sub_states.data() + s * naggs, naggs);
-    for (std::size_t i = 0; i < t.days.size(); ++i) {
-      fold.add(t.days[i], t.states.data() + i * naggs);
-    }
-    fold.finish();
-  }
-  std::vector<AggState> states(c.groups.size() * naggs);
-  for (std::size_t g = 0; g < c.groups.size(); ++g) {
-    for (const std::uint32_t s : c.groups[g]) {
-      merge_states(states.data() + g * naggs, sub_states.data() + std::size_t{s} * naggs, naggs);
-    }
-  }
-  return states;
-}
+/// Result groups of either contract, in first-seen order.
+struct Groups {
+  std::vector<std::size_t> example_row;  // first matching row per group
+  std::vector<AggState> states;          // [group * naggs + agg]
+};
 
-}  // namespace partial
-
-Table Query::run() const {
-  if (aggs_.empty()) throw common::InvalidArgument("query without aggregations");
-  if (keys_.size() > kMaxGroupKeys) {
-    throw common::InvalidArgument("query supports at most 4 group keys");
-  }
-  const std::size_t nrows = table_.rows();
-  if (nrows > std::numeric_limits<std::uint32_t>::max()) {
-    throw common::InvalidArgument("query: table exceeds 2^32 rows");
-  }
-
-  // Output schema: keys (typed like the source) then one double per agg
-  // (count as int64).
-  std::vector<std::pair<std::string, ColType>> schema;
-  for (const auto& k : keys_) schema.emplace_back(k, table_.col(k).type());
-  for (const auto& a : aggs_) {
-    schema.emplace_back(a.as.empty() ? default_agg_name(a) : a.as,
-                        a.kind == AggKind::kCount ? ColType::kInt64 : ColType::kDouble);
-  }
-  Table out(table_.name() + "_agg", std::move(schema));
-
-  // --- plan: resolve every column reference once --------------------------
-  std::vector<KeyRef> key_refs;
-  key_refs.reserve(keys_.size());
-  for (const auto& k : keys_) {
-    const Column& c = table_.col(k);
-    KeyRef ref;
-    ref.type = c.type();
-    switch (c.type()) {
-      case ColType::kDouble:
-        ref.f64 = c.doubles().data();
-        break;
-      case ColType::kInt64:
-        ref.i64 = c.int64s().data();
-        break;
-      case ColType::kString:
-        ref.codes = c.codes().data();
-        break;
-    }
-    key_refs.push_back(ref);
-  }
-
-  std::vector<AggRef> agg_refs;
-  agg_refs.reserve(aggs_.size());
-  for (const auto& a : aggs_) {
-    AggRef ref;
-    ref.kind = a.kind;
-    if (a.kind != AggKind::kCount) {
-      ref.value = numeric_ref(table_.col(a.column));
-      if (a.kind == AggKind::kWeightedMean) ref.weight = numeric_ref(table_.col(a.weight));
-    }
-    agg_refs.push_back(ref);
-  }
-
-  // Cancellation safe point: polled once per scan chunk and once per
-  // aggregation segment (coarse enough to stay off the per-row hot path).
-  // Throwing tears the run down through the pool's rethrow; stats_ is reset
-  // below and only assigned on success, so no partial accounting escapes.
-  const common::CancelToken* cancel = cancel_;
-  const auto check_cancel = [cancel] {
-    if (cancel != nullptr && cancel->stop_requested()) {
-      throw common::Cancelled("query abandoned at safe point");
-    }
-  };
-
-  // --- phase 1: per-chunk selection vectors (shared with run_partial) -----
-  stats_ = QueryStats{};  // visible stats stay zeroed until the run completes
-  ScanResult scan = scan_phase(table_, pred_, threads_, cancel_);
-  QueryStats st = scan.st;
-  const std::size_t total_matches = scan.total_matches;
-  const std::uint32_t* match_ptr = scan.identity ? nullptr : scan.matches.data();
-
-  // ISA tier pinned once per run. The AVX2 kernels gather through row
-  // indices as signed 32-bit lanes, so a table past 2^31 rows takes the
-  // scalar table — legal at any time because every tier is bit-identical.
-  const kernels::KernelTable& kt = nrows > (std::size_t{1} << 31)
-                                       ? kernels::table_for(common::simd::Tier::kScalar)
-                                       : kernels::active();
-
-  // --- phase 2 ------------------------------------------------------------
-  const std::size_t naggs = aggs_.size();
-  std::vector<std::size_t> group_example_row;  // first-seen group order
-  std::vector<AggState> states;                // [group * naggs + agg]
-
-  if (!table_.time_partition().empty()) {
-    // Time-partitioned contract: sequential micro-cell accumulation + the
-    // calendar tree fold (rollup-reproducible; see partial::collect).
-    const partial::Collected collected =
-        partial::collect(table_, keys_, aggs_, match_ptr, total_matches,
-                         /*rank_column=*/std::string(), cancel_);
-    group_example_row = collected.group_example_row;
-    states = partial::fold_groups(collected);
-  } else {
-  // Canonical segment contract: partial aggregation over match-list segments.
+/// Canonical segment contract: partial aggregation over kSegmentRows
+/// segments of the match list on the pool, partials merged in segment order.
+Groups aggregate_segments(const Table& table, const std::vector<std::string>& keys,
+                          const ColumnRefs& refs, const std::uint32_t* match_ptr,
+                          std::size_t total_matches, std::size_t threads,
+                          const common::CancelToken* cancel) {
+  const std::vector<KeyRef>& key_refs = refs.keys;
+  const std::vector<AggRef>& agg_refs = refs.aggs;
+  const kernels::KernelTable& kt = run_kernels(table.rows());
+  const std::size_t naggs = agg_refs.size();
   const std::size_t nsegs =
       total_matches == 0 ? 0 : (total_matches + kSegmentRows - 1) / kSegmentRows;
 
@@ -997,7 +745,7 @@ Table Query::run() const {
       break;
     }
     dense_mult[k] = dense_domain;
-    dense_domain *= table_.col(keys_[k]).dict().size();
+    dense_domain *= table.col(keys[k]).dict().size();
     if (dense_domain > kMaxDenseGroups) {
       dense = false;
       break;
@@ -1005,8 +753,8 @@ Table Query::run() const {
   }
 
   std::vector<SegmentPartial> partials(nsegs);
-  common::pool_run(nsegs, threads_, 0, [&](std::size_t seg) {
-    check_cancel();
+  common::pool_run(nsegs, threads, 0, [&](std::size_t seg) {
+    poll_cancel(cancel);
     SegmentPartial& part = partials[seg];
     const std::size_t begin = seg * kSegmentRows;
     const std::size_t end = std::min(total_matches, begin + kSegmentRows);
@@ -1044,27 +792,291 @@ Table Query::run() const {
     radix_group_segment(part, key_refs, agg_refs, rows, base, len);
   });
 
-  // --- merge partials in segment order (deterministic group order) --------
-  check_cancel();
+  // Merge partials in segment order (deterministic group order).
+  poll_cancel(cancel);
+  Groups out;
   std::unordered_map<PackedKey, std::size_t, PackedKeyHash> groups;
   for (const auto& part : partials) {
     for (std::size_t g = 0; g < part.keys.size(); ++g) {
-      const auto [it, inserted] = groups.emplace(part.keys[g], group_example_row.size());
+      const auto [it, inserted] = groups.emplace(part.keys[g], out.example_row.size());
       if (inserted) {
-        group_example_row.push_back(part.example_row[g]);
-        states.resize(states.size() + naggs);
+        out.example_row.push_back(part.example_row[g]);
+        out.states.resize(out.states.size() + naggs);
       }
-      AggState* into = states.data() + it->second * naggs;
-      const AggState* from = part.states.data() + g * naggs;
-      for (std::size_t a = 0; a < naggs; ++a) merge_state(into[a], from[a]);
+      merge_states(out.states.data() + it->second * naggs, part.states.data() + g * naggs,
+                   naggs);
     }
   }
-  }  // end canonical segment contract
+  return out;
+}
+
+/// Flat open-addressing index from fixed-width word tuples to dense ids,
+/// handed out in insertion order. Tuples live id-major in one array and
+/// slots hold ids; the table doubles at half load, so probes stay short
+/// and nothing is allocated per tuple.
+class TupleIndex {
+ public:
+  explicit TupleIndex(std::size_t width) : width_(width), slots_(kInitialSlots, kEmpty) {}
+
+  /// Id of the `width` words at `key`, which becomes the next id if new.
+  std::uint32_t insert(const std::uint64_t* key) {
+    std::size_t mask = slots_.size() - 1;
+    std::size_t i = hash_words(key, width_) & mask;
+    for (; slots_[i] != kEmpty; i = (i + 1) & mask) {
+      if (std::equal(key, key + width_, this->key(slots_[i]))) return slots_[i];
+    }
+    const auto id = static_cast<std::uint32_t>(size_++);
+    keys_.insert(keys_.end(), key, key + width_);
+    slots_[i] = id;
+    if (2 * size_ > slots_.size()) {
+      slots_.assign(2 * slots_.size(), kEmpty);
+      mask = slots_.size() - 1;
+      for (std::uint32_t t = 0; t < size_; ++t) {
+        std::size_t j = hash_words(this->key(t), width_) & mask;
+        while (slots_[j] != kEmpty) j = (j + 1) & mask;
+        slots_[j] = t;
+      }
+    }
+    return id;
+  }
+
+  [[nodiscard]] const std::uint64_t* key(std::uint32_t id) const {
+    return keys_.data() + std::size_t{id} * width_;
+  }
+
+ private:
+  static constexpr std::size_t kInitialSlots = 1024;
+  static constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
+  std::size_t width_;
+  std::size_t size_ = 0;
+  std::vector<std::uint64_t> keys_;  // [id * width + word]
+  std::vector<std::uint32_t> slots_;
+};
+
+/// The micro-cells of the time-partitioned contract (DESIGN.md §16) as
+/// sorted runs. A sub-tuple is the group-key words followed by the
+/// partition subkeys that are not group keys; sub-tuples and groups get
+/// dense ids in first-match order, which is the contract's first-seen
+/// order. `order` holds the match positions stably sorted by (sub-tuple,
+/// day): every cell is one run of equal (sub, day), its rows still in match
+/// order, and each sub-tuple's cells follow each other by ascending day.
+struct CellRuns {
+  std::vector<std::uint32_t> sub;          // per match position
+  std::vector<std::int64_t> day;           // per match position
+  std::vector<std::uint32_t> sub_first;    // first match position per sub
+  std::vector<std::uint32_t> sub_group;    // group id per sub
+  std::vector<std::uint32_t> group_first;  // first match position per group
+  std::vector<std::uint32_t> order;        // match positions by (sub, day)
+  std::vector<std::uint32_t> sub_begin;    // sub s owns order[sub_begin[s], sub_begin[s + 1])
+
+  [[nodiscard]] std::size_t subs() const { return sub_first.size(); }
+};
+
+/// Partition subkeys that are not among the group keys, in partition order.
+std::vector<std::string> extra_subkeys(const Table& table,
+                                       const std::vector<std::string>& group_by) {
+  std::vector<std::string> extras;
+  for (const auto& name : table.time_partition_subkeys()) {
+    if (std::find(group_by.begin(), group_by.end(), name) == group_by.end()) {
+      extras.push_back(name);
+    }
+  }
+  return extras;
+}
+
+/// Digit width of the radix passes over day offsets: 2^11 counters stay in L1.
+constexpr unsigned kDayDigitBits = 11;
+
+CellRuns sort_cell_runs(const Table& table, const std::vector<KeyRef>& key_refs,
+                        const std::vector<std::string>& extras,
+                        const std::uint32_t* match_rows, std::size_t n,
+                        const common::CancelToken* cancel) {
+  std::vector<KeyRef> tuple = key_refs;
+  for (const auto& name : extras) tuple.push_back(make_key_ref(table.col(name)));
+  const std::size_t width = tuple.size();
+  std::array<std::uint64_t, 7> key{};
+  if (width > key.size()) {
+    throw common::InvalidArgument("time-partitioned query: key + subkey tuple too wide");
+  }
+  const std::int64_t* end_vals = table.col(table.time_partition()).int64s().data();
+
+  // Id pass, in match order: each match's sub-tuple id and day.
+  CellRuns runs;
+  runs.sub.resize(n);
+  runs.day.resize(n);
+  TupleIndex subs(width);
+  std::int64_t dmin = std::numeric_limits<std::int64_t>::max();
+  std::int64_t dmax = std::numeric_limits<std::int64_t>::min();
+  for_blocks(n, cancel, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t j = begin; j < end; ++j) {
+      const std::uint32_t r = row_at(match_rows, j);
+      for (std::size_t k = 0; k < width; ++k) key[k] = key_ref_word(tuple[k], r);
+      const std::uint32_t s = subs.insert(key.data());
+      if (s == runs.sub_first.size()) runs.sub_first.push_back(static_cast<std::uint32_t>(j));
+      runs.sub[j] = s;
+      const std::int64_t d = end_day_index(end_vals[r]);
+      runs.day[j] = d;
+      dmin = std::min(dmin, d);
+      dmax = std::max(dmax, d);
+    }
+  });
+
+  // Group ids: a group key is its sub-tuples' leading words, and walking
+  // sub-tuples in id order meets each group first at the group's first
+  // match, so group ids come out in first-match order as well.
+  const std::size_t nsubs = runs.subs();
+  runs.sub_group.resize(nsubs);
+  if (extras.empty()) {
+    std::iota(runs.sub_group.begin(), runs.sub_group.end(), 0u);
+    runs.group_first = runs.sub_first;
+  } else {
+    TupleIndex groups(key_refs.size());
+    for_blocks(nsubs, cancel, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t s = begin; s < end; ++s) {
+        const std::uint32_t g = groups.insert(subs.key(static_cast<std::uint32_t>(s)));
+        if (g == runs.group_first.size()) runs.group_first.push_back(runs.sub_first[s]);
+        runs.sub_group[s] = g;
+      }
+    });
+  }
+
+  // Stable LSD radix sort of the match positions: counting passes over the
+  // day offset from the earliest day, kDayDigitBits at a time, then one
+  // pass with a bucket per sub-tuple. Days and sub ids are never packed
+  // into one key, so no day range can overflow it. A pass whose digit is
+  // the same for every match is skipped.
+  runs.order.resize(n);
+  std::iota(runs.order.begin(), runs.order.end(), 0u);
+  std::vector<std::uint32_t> scratch(n);
+  std::vector<std::uint32_t> offsets;
+  const auto scatter = [&](std::size_t nbuckets, const auto& bucket) {
+    offsets.assign(nbuckets + 1, 0);
+    for_blocks(n, cancel, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) ++offsets[bucket(runs.order[i]) + 1];
+    });
+    bool one_bucket = false;
+    for (std::size_t b = 0; b < nbuckets; ++b) {
+      one_bucket = one_bucket || offsets[b + 1] == n;
+      offsets[b + 1] += offsets[b];
+    }
+    if (one_bucket) return;
+    std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+    for_blocks(n, cancel, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::uint32_t p = runs.order[i];
+        scratch[cursor[bucket(p)]++] = p;
+      }
+    });
+    runs.order.swap(scratch);
+  };
+  if (n > 0) {
+    const auto base = static_cast<std::uint64_t>(dmin);
+    const auto span = static_cast<std::uint64_t>(dmax) - base;
+    constexpr std::uint64_t kDigitMask = (std::uint64_t{1} << kDayDigitBits) - 1;
+    for (unsigned shift = 0; shift < static_cast<unsigned>(std::bit_width(span));
+         shift += kDayDigitBits) {
+      scatter(kDigitMask + 1, [&](std::uint32_t p) {
+        return static_cast<std::size_t>(
+            ((static_cast<std::uint64_t>(runs.day[p]) - base) >> shift) & kDigitMask);
+      });
+    }
+  }
+  scatter(nsubs, [&runs](std::uint32_t p) { return std::size_t{runs.sub[p]}; });
+  runs.sub_begin = std::move(offsets);
+  return runs;
+}
+
+/// Accumulates the cells of sub-tuple `s` one run at a time, each
+/// sequentially in match order into `cell`, and hands them to
+/// `emit(day, cell)` by ascending day. Polls `cancel` every kSegmentRows
+/// positions of the run order.
+template <typename Emit>
+void accumulate_sub(const CellRuns& runs, std::uint32_t s, const std::vector<AggRef>& aggs,
+                    const std::uint32_t* match_rows, const common::CancelToken* cancel,
+                    AggState* cell, Emit&& emit) {
+  const std::size_t naggs = aggs.size();
+  std::size_t i = runs.sub_begin[s];
+  const std::size_t end = runs.sub_begin[s + 1];
+  while (i < end) {
+    const std::int64_t day = runs.day[runs.order[i]];
+    std::fill(cell, cell + naggs, AggState{});
+    do {
+      if (i % kSegmentRows == 0) poll_cancel(cancel);
+      update_aggs(aggs, cell, row_at(match_rows, runs.order[i]));
+      ++i;
+    } while (i < end && runs.day[runs.order[i]] == day);
+    emit(day, static_cast<const AggState*>(cell));
+  }
+}
+
+/// Time-partitioned contract over sorted cell runs: each sub-tuple's cells
+/// fold through the calendar tree, and sub-tuple totals merge into their
+/// group in first-seen order.
+Groups aggregate_cells(const CellRuns& runs, const std::vector<AggRef>& aggs,
+                       const std::uint32_t* match_rows, const common::CancelToken* cancel) {
+  const std::size_t naggs = aggs.size();
+  Groups out;
+  out.example_row.reserve(runs.group_first.size());
+  for (const std::uint32_t j : runs.group_first) out.example_row.push_back(row_at(match_rows, j));
+  out.states.resize(runs.group_first.size() * naggs);
+  std::vector<AggState> cell(naggs);
+  std::vector<AggState> sub_total(naggs);
+  TimeTreeFold fold(sub_total.data(), naggs);  // finish() leaves it ready for the next sub
+  for (std::uint32_t s = 0; s < runs.subs(); ++s) {
+    std::fill(sub_total.begin(), sub_total.end(), AggState{});
+    accumulate_sub(runs, s, aggs, match_rows, cancel, cell.data(),
+                   [&fold](std::int64_t day, const AggState* st) { fold.add(day, st); });
+    fold.finish();
+    merge_states(out.states.data() + std::size_t{runs.sub_group[s]} * naggs, sub_total.data(),
+                 naggs);
+  }
+  return out;
+}
+
+}  // namespace
+
+Table Query::run() const {
+  if (aggs_.empty()) throw common::InvalidArgument("query without aggregations");
+  if (keys_.size() > kMaxGroupKeys) {
+    throw common::InvalidArgument("query supports at most 4 group keys");
+  }
+  const std::size_t nrows = table_.rows();
+  if (nrows > std::numeric_limits<std::uint32_t>::max()) {
+    throw common::InvalidArgument("query: table exceeds 2^32 rows");
+  }
+
+  // Output schema: keys (typed like the source) then one double per agg
+  // (count as int64).
+  std::vector<std::pair<std::string, ColType>> schema;
+  for (const auto& k : keys_) schema.emplace_back(k, table_.col(k).type());
+  for (const auto& a : aggs_) {
+    schema.emplace_back(a.as.empty() ? default_agg_name(a) : a.as,
+                        a.kind == AggKind::kCount ? ColType::kInt64 : ColType::kDouble);
+  }
+  Table out(table_.name() + "_agg", std::move(schema));
+  const ColumnRefs refs = resolve_refs(table_, keys_, aggs_);
+
+  // Cancellation safe points: once per scan chunk, then at most every
+  // kSegmentRows matches of every aggregation loop (coarse enough to stay
+  // off the per-row hot path). Throwing tears the run down through the
+  // pool's rethrow; stats_ is reset here and only assigned on success, so
+  // no partial accounting escapes.
+  stats_ = QueryStats{};
+  const ScanResult scan = scan_phase(table_, pred_, threads_, cancel_);
+  const std::uint32_t* match_ptr = scan.identity ? nullptr : scan.matches.data();
+  const Groups groups =
+      table_.time_partition().empty()
+          ? aggregate_segments(table_, keys_, refs, match_ptr, scan.total_matches, threads_,
+                               cancel_)
+          : aggregate_cells(sort_cell_runs(table_, refs.keys, extra_subkeys(table_, keys_),
+                                           match_ptr, scan.total_matches, cancel_),
+                            refs.aggs, match_ptr, cancel_);
 
   // --- emit group rows in first-seen order --------------------------------
-  for (std::size_t g = 0; g < group_example_row.size(); ++g) {
+  const std::size_t naggs = aggs_.size();
+  for (std::size_t g = 0; g < groups.example_row.size(); ++g) {
     auto row = out.append();
-    const std::size_t src = group_example_row[g];
+    const std::size_t src = groups.example_row[g];
     for (const auto& k : keys_) {
       const Column& c = table_.col(k);
       switch (c.type()) {
@@ -1081,7 +1093,7 @@ Table Query::run() const {
     }
     for (std::size_t a = 0; a < naggs; ++a) {
       const AggSpec& spec = aggs_[a];
-      const AggState& s = states[g * naggs + a];
+      const AggState& s = groups.states[g * naggs + a];
       const std::string name = spec.as.empty() ? default_agg_name(spec) : spec.as;
       switch (spec.kind) {
         case AggKind::kSum:
@@ -1105,7 +1117,7 @@ Table Query::run() const {
       }
     }
   }
-  stats_ = st;
+  stats_ = scan.st;
   return out;
 }
 
@@ -1114,16 +1126,66 @@ partial::Partial Query::run_partial(const std::string& rank_column) const {
   if (keys_.size() > kMaxGroupKeys) {
     throw common::InvalidArgument("query supports at most 4 group keys");
   }
+  if (table_.time_partition().empty()) {
+    throw common::InvalidArgument("run_partial: table has no time partition");
+  }
+  const std::int64_t* rank_vals = nullptr;
+  if (!rank_column.empty()) {
+    const Column& rc = table_.col(rank_column);
+    if (rc.type() != ColType::kInt64) {
+      throw common::InvalidArgument("run_partial: rank column " + rank_column +
+                                    " must be int64");
+    }
+    rank_vals = rc.int64s().data();
+  }
+  const ColumnRefs refs = resolve_refs(table_, keys_, aggs_);
+  const std::vector<std::string> extras = extra_subkeys(table_, keys_);
+
   stats_ = QueryStats{};
-  ScanResult scan = scan_phase(table_, pred_, threads_, cancel_);
-  partial::Collected col = partial::collect(
-      table_, keys_, aggs_, scan.identity ? nullptr : scan.matches.data(),
-      scan.total_matches, rank_column, cancel_);
+  const ScanResult scan = scan_phase(table_, pred_, threads_, cancel_);
+  const std::uint32_t* match_ptr = scan.identity ? nullptr : scan.matches.data();
+  const CellRuns runs =
+      sort_cell_runs(table_, refs.keys, extras, match_ptr, scan.total_matches, cancel_);
+
+  // Tuple rank: the minimum rank-column value over the tuple's matches, or
+  // without a rank column its first-seen index.
+  std::vector<std::int64_t> rank(runs.subs());
+  if (rank_vals != nullptr) {
+    std::fill(rank.begin(), rank.end(), std::numeric_limits<std::int64_t>::max());
+    for_blocks(scan.total_matches, cancel_, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t j = begin; j < end; ++j) {
+        std::int64_t& r = rank[runs.sub[j]];
+        r = std::min(r, rank_vals[row_at(match_ptr, j)]);
+      }
+    });
+  } else {
+    std::iota(rank.begin(), rank.end(), std::int64_t{0});
+  }
+
+  std::vector<const Column*> group_cols;
+  for (const auto& k : keys_) group_cols.push_back(&table_.col(k));
+  std::vector<const Column*> extra_cols;
+  for (const auto& name : extras) extra_cols.push_back(&table_.col(name));
+
   partial::Partial p;
   p.stats = scan.st;
-  p.key_schema = std::move(col.key_schema);
-  p.naggs = col.naggs;
-  p.tuples = std::move(col.tuples);
+  for (const auto& k : keys_) p.key_schema.emplace_back(k, table_.col(k).type());
+  const std::size_t naggs = aggs_.size();
+  p.naggs = naggs;
+  p.tuples.resize(runs.subs());
+  std::vector<AggState> cell(naggs);
+  for (std::uint32_t s = 0; s < runs.subs(); ++s) {
+    partial::TuplePartial& t = p.tuples[s];
+    const std::uint32_t r0 = row_at(match_ptr, runs.sub_first[s]);
+    for (const Column* c : group_cols) t.group.push_back(make_key_value(*c, r0));
+    for (const Column* c : extra_cols) t.extra.push_back(make_key_value(*c, r0));
+    t.rank = rank[s];
+    accumulate_sub(runs, s, refs.aggs, match_ptr, cancel_, cell.data(),
+                   [&t, naggs](std::int64_t day, const AggState* st) {
+                     t.days.push_back(day);
+                     t.states.insert(t.states.end(), st, st + naggs);
+                   });
+  }
   stats_ = p.stats;
   return p;
 }

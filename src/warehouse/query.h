@@ -116,6 +116,10 @@ struct QueryStats {
 /// ISA tier, or the table's zone-chunk size — results, group order and
 /// QueryStats are identical for any threads() setting and any
 /// SUPREMM_SIMD tier (DESIGN.md §7 determinism rule, §15 kernel layer).
+/// A time-partitioned table (Table::set_time_partition) aggregates under
+/// the §16 contract instead: matches sort stably into (sub-tuple, day)
+/// cell runs that accumulate sequentially and fold through the calendar
+/// tree; only the scan runs on the pool.
 ///
 /// Group keys are packed bit-exactly (dictionary code / int64 bits /
 /// double bit pattern), so double keys that agree only in their first six
@@ -133,9 +137,9 @@ class Query {
   /// concurrency. Results are identical for any setting.
   Query& threads(std::size_t n);
   /// Cooperative cancellation: run() polls `token` once per scan chunk and
-  /// once per aggregation segment and throws common::Cancelled when it trips
-  /// (explicit cancel or expired deadline). The token must outlive run();
-  /// nullptr (default) disables the checks.
+  /// at least every 8192 matches of every aggregation loop, and throws
+  /// common::Cancelled when it trips (explicit cancel or expired deadline).
+  /// The token must outlive run(); nullptr (default) disables the checks.
   Query& cancel_token(const common::CancelToken* token);
 
   /// Throws common::Cancelled if the cancel token tripped; on that path

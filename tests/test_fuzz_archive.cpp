@@ -19,7 +19,10 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include <unistd.h>
 
 #include "archive/archive.h"
 #include "common/checksum.h"
@@ -34,21 +37,35 @@ namespace {
 using namespace supremm;
 namespace fs = std::filesystem;
 
-/// Archive of the shared tiny run, built once per binary.
+/// A directory under the temp dir that belongs to this process. ctest runs
+/// every test in a process of its own, in parallel under -j, so a fixed
+/// name would let one process rebuild the archive another is still copying.
+fs::path process_dir(const std::string& name) {
+  return fs::temp_directory_path() / (name + "_" + std::to_string(::getpid()));
+}
+
+/// Archive of the shared tiny run, built once per process and removed when
+/// the process exits.
 const std::string& pristine_dir() {
-  static const std::string dir = [] {
-    const fs::path p = fs::temp_directory_path() / "supremm_testkit_fuzz_pristine";
-    supremm::testing::build_archive(p.string(), supremm::testing::tiny_ranger_run());
-    return p.string();
-  }();
-  return dir;
+  struct Pristine {
+    fs::path dir = process_dir("supremm_testkit_fuzz_pristine");
+    std::string path = dir.string();
+    Pristine() { supremm::testing::build_archive(path, supremm::testing::tiny_ranger_run()); }
+    ~Pristine() {
+      std::error_code ec;
+      fs::remove_all(dir, ec);
+    }
+    Pristine(const Pristine&) = delete;
+    Pristine& operator=(const Pristine&) = delete;
+  };
+  static const Pristine pristine;
+  return pristine.path;
 }
 
 testkit::FuzzConfig make_config() {
   testkit::FuzzConfig cfg;
   cfg.pristine_dir = pristine_dir();
-  cfg.scratch_dir =
-      (fs::temp_directory_path() / "supremm_testkit_fuzz_scratch").string();
+  cfg.scratch_dir = process_dir("supremm_testkit_fuzz_scratch").string();
   cfg.seed = 20130313;
   cfg.iterations = 200;  // smoke floor; the long run is opt-in
   if (const char* n = std::getenv("SUPREMM_TESTKIT_LONG")) {
@@ -81,7 +98,7 @@ TEST(ArchiveFuzz, ReaderSurvivesStructuredMutations) {
 // the manifest orders the partitions, so shuffling the partition lines (and
 // re-forging the manifest checksum) must round-trip bit-identically.
 TEST(ArchiveFuzz, PartitionOrderShuffleRoundTrips) {
-  const fs::path dir = fs::temp_directory_path() / "supremm_testkit_fuzz_shuffle";
+  const fs::path dir = process_dir("supremm_testkit_fuzz_shuffle");
   fs::remove_all(dir);
   fs::create_directories(dir);
   for (const auto& e : fs::directory_iterator(pristine_dir())) {
@@ -129,7 +146,7 @@ TEST(ArchiveFuzz, PartitionOrderShuffleRoundTrips) {
 // divides by the bucket width or sizes buffers from (watermark - start).
 TEST(ArchiveFuzz, SemanticallyInvalidManifestRejected) {
   const auto corrupt = [&](const std::string& key, const std::string& value) {
-    const fs::path dir = fs::temp_directory_path() / "supremm_testkit_fuzz_manifest";
+    const fs::path dir = process_dir("supremm_testkit_fuzz_manifest");
     fs::remove_all(dir);
     fs::create_directories(dir);
     for (const auto& e : fs::directory_iterator(pristine_dir())) {
@@ -168,7 +185,9 @@ TEST(ArchiveFuzz, SemanticallyInvalidManifestRejected) {
 TEST(ArchiveFuzzReplay, EnvSeedFile) {
   const char* path = std::getenv("SUPREMM_TESTKIT_REPLAY");
   if (path == nullptr) GTEST_SKIP() << "SUPREMM_TESTKIT_REPLAY not set";
-  const auto d = testkit::replay_fuzz_file(make_config(), path);
+  const testkit::FuzzConfig cfg = make_config();
+  const auto d = testkit::replay_fuzz_file(cfg, path);
+  fs::remove_all(cfg.scratch_dir);
   EXPECT_FALSE(d.has_value()) << "still violates: " << *d;
 }
 

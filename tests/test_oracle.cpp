@@ -26,9 +26,11 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "common/strings.h"
 #include "testkit/genquery.h"
 #include "testkit/oracle.h"
 #include "testkit/replay.h"
+#include "warehouse/partial.h"
 #include "warehouse/query.h"
 #include "warehouse/table.h"
 
@@ -98,6 +100,142 @@ TEST(OracleDifferential, HandcraftedQueryAgrees) {
   for (const std::size_t threads : testkit::kDiffThreadCounts) {
     const auto d = testkit::differential_check(corpus, spec, threads);
     EXPECT_FALSE(d.has_value()) << *d;
+  }
+}
+
+// --- time-partitioned contract edges ---------------------------------------
+
+/// A time-partitioned table (partition subkeys user, node, cluster) built to
+/// hit the edges of the sorted-cell-run aggregation:
+///   - a head of 12 sub-tuples whose cells interleave in match order, each
+///     with cells on days 2^40 and 2^46 either side of zero (a (sub-tuple,
+///     day) pair packed into one 64-bit key would overflow) and on negative
+///     days, holding mostly finite values so a cell's sum depends on the
+///     order its rows are added in;
+///   - a tail of more than 65 536 sub-tuples with two rows each, far apart,
+///     so the sub-tuple id table grows several times and every tuple is
+///     looked up again after the table has grown;
+///   - NaN (two payloads), -0.0, +0.0 and ±inf metric values, and a double
+///     column with the same hazards to group by.
+warehouse::Table time_partition_edges() {
+  using warehouse::ColType;
+  constexpr std::size_t kHead = 20000;
+  constexpr std::int64_t kTailNodes = 66000;
+  constexpr std::size_t kRows = kHead + 2 * kTailNodes;
+  constexpr std::int64_t kDay = 86400;
+  constexpr std::int64_t kFar40 = std::int64_t{1} << 40;
+  constexpr std::int64_t kFar46 = std::int64_t{1} << 46;
+  constexpr std::int64_t kHeadDays[] = {-kFar46, -kFar40, -kFar40 + 3, -9, -1,
+                                        0,       6,       kFar40,      kFar46 - 1};
+  constexpr std::int64_t kFarDays[] = {-kFar46, -kFar40, kFar40, kFar46 - 1};
+  const double nan_a = std::numeric_limits<double>::quiet_NaN();
+  const double nan_b = std::bit_cast<double>(std::uint64_t{0x7ff80000000beef5});
+  const double inf = std::numeric_limits<double>::infinity();
+  const double hazards[] = {nan_a, nan_b, -0.0, 0.0, inf, -inf};
+  const double keys[] = {nan_a, nan_b, -0.0, 0.0, 1.5};
+
+  warehouse::Table t("edges", {{"id", ColType::kInt64},
+                               {"end", ColType::kInt64},
+                               {"user", ColType::kString},
+                               {"node", ColType::kInt64},
+                               {"cluster", ColType::kString},
+                               {"key", ColType::kDouble},
+                               {"value", ColType::kDouble},
+                               {"weight", ColType::kDouble},
+                               {"cores", ColType::kInt64}});
+  common::RngStream g(20130527, "test.oracle.tp_edges", 0);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const auto i = static_cast<std::int64_t>(r);
+    const bool head = r < kHead;
+    const std::int64_t node = head ? i % 4 : (i - std::int64_t{kHead}) % kTailNodes;
+    std::int64_t day = 0;
+    if (head) {
+      day = kHeadDays[(i / 5) % std::ssize(kHeadDays)];
+    } else if (g.chance(0.3)) {
+      day = kFarDays[g.uniform_int(0, std::ssize(kFarDays) - 1)];
+    } else {
+      day = g.uniform_int(-40, 60);
+    }
+    const double hazard_p = head ? 0.002 : 0.1;
+    const double value = g.chance(hazard_p)
+                             ? hazards[g.uniform_int(0, std::ssize(hazards) - 1)]
+                             : g.uniform(-100.0, 100.0);
+    const double weight =
+        g.chance(hazard_p / 2) ? hazards[g.uniform_int(0, 3)] : g.uniform(0.0, 8.0);
+    t.append()
+        .set("id", i)
+        .set("end", day * kDay + g.uniform_int(1, kDay))
+        .set("user", common::strprintf("u%lld", static_cast<long long>(head ? i % 3 : node % 12)))
+        .set("node", node)
+        .set("cluster", common::strprintf("c%lld", static_cast<long long>(node % 2)))
+        .set("key", keys[g.uniform_int(0, std::ssize(keys) - 1)])
+        .set("value", value)
+        .set("weight", weight)
+        .set("cores", g.uniform_int(1, 64));
+  }
+  t.rebuild_zone_index(1024);
+  t.set_time_partition("end", {"user", "node", "cluster"});
+  return t;
+}
+
+TEST(OracleDifferential, TimePartitionedEdgesAgree) {
+  using warehouse::AggKind;
+  const warehouse::Table table = time_partition_edges();
+  const std::vector<warehouse::AggSpec> all_kinds = {
+      {"", AggKind::kCount, "", "n"},         {"value", AggKind::kSum, "", ""},
+      {"value", AggKind::kMean, "", ""},      {"value", AggKind::kMin, "", ""},
+      {"value", AggKind::kMax, "", ""},       {"value", AggKind::kWeightedMean, "weight", ""},
+      {"cores", AggKind::kWeightedMean, "value", "cw"}};
+  const double far_end = 0x1p47 * 86400.0;
+  struct Case {
+    std::vector<testkit::PredTerm> where;
+    std::vector<std::string> group_by;
+  };
+  const std::vector<Case> cases = {
+      {{}, {"cluster"}},  // more than 65 536 sub-tuples in a handful of groups
+      {{}, {}},
+      {{{testkit::PredOp::kBetween, "end", "", -far_end, far_end}}, {"key", "user"}},
+      {{{testkit::PredOp::kLe, "end", "", 0.0, 0.0}}, {"user"}},  // negative days
+      {{{testkit::PredOp::kGe, "end", "", 0x1p40 * 86400.0, 0.0}}, {"key"}},
+      {{{testkit::PredOp::kEq, "cluster", "c1", 0.0, 0.0}}, {"user", "node", "cluster"}},
+      {{{testkit::PredOp::kGe, "value", "", -50.0, 0.0}}, {"node"}},
+      {{{testkit::PredOp::kLe, "id", "", 0.0, 19999.0}}, {"user"}},  // the interleaved head
+  };
+  for (const Case& c : cases) {
+    testkit::QuerySpec spec;
+    spec.has_where = !c.where.empty();
+    spec.where = c.where;
+    spec.group_by = c.group_by;
+    spec.aggs = all_kinds;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      const auto d = testkit::differential_check(table, spec, threads);
+      EXPECT_FALSE(d.has_value()) << testkit::describe(spec) << ": " << *d;
+
+      // The shard half: one partial merged alone is the single scan.
+      spec.threads = threads;
+      const warehouse::Query q = testkit::engine_query(table, spec);
+      const warehouse::Table run = q.run();
+      const warehouse::QueryStats run_stats = q.stats();
+      const warehouse::partial::Partial part = q.run_partial("id");
+      warehouse::QueryStats merged_stats;
+      const warehouse::Table merged = warehouse::partial::merge_partials(
+          {&part, 1}, spec.aggs, run.name(), &merged_stats);
+      const auto md = testkit::table_diff(merged, run);
+      EXPECT_FALSE(md.has_value()) << testkit::describe(spec) << " merged: " << *md;
+      EXPECT_EQ(testkit::stats_diff(merged_stats, run_stats), std::nullopt);
+
+      if (&c == &cases.front()) {
+        // The table really reaches the edges it is built for.
+        EXPECT_GT(part.tuples.size(), 65536u);
+        std::int64_t lo = 0, hi = 0;
+        for (const auto& tp : part.tuples) {
+          lo = std::min(lo, tp.days.front());
+          hi = std::max(hi, tp.days.back());
+        }
+        EXPECT_LE(lo, -(std::int64_t{1} << 46));
+        EXPECT_GE(hi, (std::int64_t{1} << 46) - 1);
+      }
+    }
   }
 }
 

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "archive/tables.h"
 #include "pipeline/pipeline.h"
 #include "service/request.h"
 #include "service/service.h"
@@ -21,6 +22,8 @@
 #include "testkit/genquery.h"
 #include "testkit/genrequest.h"
 #include "testkit/oracle.h"
+#include "warehouse/partial.h"
+#include "warehouse/rollup.h"
 
 namespace ar = supremm::archive;
 namespace etl = supremm::etl;
@@ -70,6 +73,15 @@ const wh::Table& fuzz_corpus() {
 const wh::Table& big_corpus() {
   static const wh::Table t =
       tk::make_corpus({.rows = 400000, .chunk_rows = 1024, .seed = 31});
+  return t;
+}
+
+/// An augmented, time-partitioned jobs table (what publish_jobs serves), so
+/// the cancellation tests also reach the time-partitioned aggregation path.
+wh::Table augmented_jobs(std::size_t rows) {
+  wh::Table t = ar::jobs_table(tk::make_rollup_jobs({.rows = rows, .seed = 41}));
+  wh::rollup::augment_jobs_table(t);
+  t.rebuild_zone_index(ar::kDefaultChunkRows);
   return t;
 }
 
@@ -361,6 +373,18 @@ TEST(ServiceCancel, ExpiredDeadlineTokenTripsAtSafePoint) {
   q.cancel_token(&token);
   EXPECT_THROW((void)q.run(), sc::Cancelled);
   expect_zero_stats(q.stats());
+
+  // Time-partitioned table: without a predicate the scan has no chunk loop,
+  // so the first safe point is the cell-run id pass.
+  const wh::Table jobs = augmented_jobs(3000);
+  const sv::Request jreq =
+      sv::parse_request("query jobs group user agg sum(node_hours),count()");
+  wh::Query jq = sv::compile(jreq.query, jobs);
+  jq.cancel_token(&token);
+  EXPECT_THROW((void)jq.run(), sc::Cancelled);
+  expect_zero_stats(jq.stats());
+  EXPECT_THROW((void)jq.run_partial("job_id"), sc::Cancelled);
+  expect_zero_stats(jq.stats());
 }
 
 TEST(ServiceCancel, MidRunCancelIsCleanOrComplete) {
@@ -402,6 +426,43 @@ TEST(ServiceCancel, MidRunCancelIsCleanOrComplete) {
     expect_zero_stats(q.stats());
   }
   canceller.join();
+
+  // The time-partitioned path, through run() and run_partial(): a cancel
+  // landing in the id pass, a radix pass or the accumulation must leave
+  // zero stats; one landing after the last safe point, a complete answer.
+  const wh::Table jobs = augmented_jobs(200000);
+  const sv::Request jreq = sv::parse_request(
+      "query jobs where cpu_idle between -1e300 and 1e300 group user,app,day "
+      "agg sum(node_hours),wmean(cpu_idle,cores),count()");
+  const wh::Query jref_q = sv::compile(jreq.query, jobs);
+  const wh::Table jref = jref_q.run();
+  const wh::QueryStats jref_stats = jref_q.stats();
+  for (const bool partial : {false, true}) {
+    wh::Query jq = sv::compile(jreq.query, jobs);
+    sc::CancelToken jtoken;
+    jq.cancel_token(&jtoken);
+    std::thread jcanceller([&jtoken] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      jtoken.cancel();
+    });
+    try {
+      if (partial) {
+        const wh::partial::Partial part = jq.run_partial("job_id");
+        wh::QueryStats merged_stats;
+        const wh::Table merged = wh::partial::merge_partials(
+            {&part, 1}, jreq.query.aggs, jref.name(), &merged_stats);
+        expect_tables_identical(merged, jref);
+        EXPECT_EQ(tk::stats_diff(merged_stats, jref_stats), std::nullopt);
+      } else {
+        const wh::Table out = jq.run();
+        expect_tables_identical(out, jref);
+        EXPECT_EQ(tk::stats_diff(jq.stats(), jref_stats), std::nullopt);
+      }
+    } catch (const sc::Cancelled&) {
+      expect_zero_stats(jq.stats());
+    }
+    jcanceller.join();
+  }
 }
 
 TEST(ServiceCancel, CancelledTicketLeaksNoPartialResults) {
