@@ -1,15 +1,21 @@
 // DESIGN.md §17: federated scatter-gather over the versioned binary shard
-// protocol. This bench builds one large synthetic jobs population, places it
-// across {1,2,5} shards with the adversarial (cluster, day)-cell placement,
-// first gates on in-bench bit-identity — every merged scatter-gather answer
-// must equal the single-warehouse engine bit-for-bit at every shard count —
-// then measures coordinator-observed latency of a federated query mix per
-// shard count against the single-warehouse baseline, plus the wire cost
-// (partial bytes shipped per query). Results go to BENCH_federation.json.
+// protocol. This bench builds one large synthetic jobs population and places
+// it two ways: the adversarial (cluster, day)-cell placement across {1,2,5}
+// shards, where clusters span shards and shards ship day cells, and one
+// shard per cluster, the only placement where the catalog prunes and shards
+// fold tuple and group totals. Each leg first gates on in-bench bit-identity
+// — every merged scatter-gather answer must equal the single warehouse
+// bit-for-bit — then measures coordinator-observed latency of a federated
+// query mix against a like-for-like baseline: one warehouse that, like the
+// shards, serves subsumable queries from its rollups. Response bytes and
+// fold levels come from the shard reports. Results go to
+// BENCH_federation.json.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,7 +24,6 @@
 #include "federation/executor.h"
 #include "federation/federation.h"
 #include "federation/transport.h"
-#include "federation/wire.h"
 #include "testkit/genrequest.h"
 #include "testkit/oracle.h"
 
@@ -28,7 +33,7 @@ using namespace supremm;
 using bench::seconds_since;
 
 constexpr std::size_t kRows = 300'000;
-constexpr int kIterations = 25;  // passes over the query mix per shard count
+constexpr int kIterations = 25;  // passes over the query mix per leg
 constexpr std::size_t kShardCounts[] = {1, 2, 5};
 constexpr std::size_t kThreads = 8;
 
@@ -56,39 +61,64 @@ double quantile(const std::vector<double>& sorted, double q) {
   return sorted[idx];
 }
 
-struct ParsedMix {
+std::vector<service::QuerySpec> parse_mix() {
   std::vector<service::QuerySpec> specs;
-  std::vector<testkit::QuerySpec> tspecs;
-};
-
-ParsedMix parse_mix() {
-  ParsedMix out;
   for (const std::string& text : query_mix()) {
     service::QuerySpec spec = service::parse_request(text).query;
     spec.threads = kThreads;
-    out.specs.push_back(std::move(spec));
+    specs.push_back(std::move(spec));
   }
-  return out;
+  return specs;
 }
+
+/// The single-warehouse baseline: the un-sharded reference plus its own
+/// RollupSet, answering each query the way Service does (rollup cells when
+/// subsumable, the raw scan otherwise).
+struct SingleWarehouse {
+  const warehouse::Table* jobs = nullptr;
+  warehouse::rollup::RollupSet rollups;
+
+  [[nodiscard]] warehouse::Table run(const service::QuerySpec& spec) const {
+    if (warehouse::rollup::enabled()) {
+      if (const auto plan = warehouse::rollup::subsume(service::to_rollup_input(spec))) {
+        return warehouse::rollup::serve(rollups, *plan, nullptr);
+      }
+    }
+    warehouse::Query q = service::compile(spec, *jobs);
+    return q.run();
+  }
+};
+
+struct Leg {
+  const char* placement;
+  std::vector<std::vector<etl::JobSummary>> slices;
+};
 
 struct FedBench {
   std::vector<std::unique_ptr<federation::ShardExecutor>> executors;
   std::shared_ptr<federation::Federation> fed;
 };
 
-FedBench make_fed(const std::vector<etl::JobSummary>& jobs, std::size_t nshards) {
+FedBench make_fed(const Leg& leg) {
   FedBench f;
   f.fed = std::make_shared<federation::Federation>();
-  const auto slices = testkit::split_jobs_for_shards(jobs, nshards, bench::kSeed);
-  for (std::size_t i = 0; i < slices.size(); ++i) {
+  for (std::size_t i = 0; i < leg.slices.size(); ++i) {
     federation::ShardExecutor::Options opts;
     opts.rollups = true;
     auto ex = std::make_unique<federation::ShardExecutor>(
-        "shard" + std::to_string(i), archive::jobs_table(slices[i]), opts);
+        "shard" + std::to_string(i), archive::jobs_table(leg.slices[i]), opts);
     f.fed->add_shard(ex->info(), std::make_shared<federation::LoopbackTransport>(*ex));
     f.executors.push_back(std::move(ex));
   }
   return f;
+}
+
+std::vector<std::vector<etl::JobSummary>> by_cluster(const std::vector<etl::JobSummary>& jobs) {
+  std::map<std::string, std::vector<etl::JobSummary>> clusters;
+  for (const auto& j : jobs) clusters[j.cluster].push_back(j);
+  std::vector<std::vector<etl::JobSummary>> slices;
+  for (auto& [name, slice] : clusters) slices.push_back(std::move(slice));
+  return slices;
 }
 
 }  // namespace
@@ -104,8 +134,9 @@ int main() {
   warehouse::Table ref = archive::jobs_table(jobs);
   warehouse::rollup::augment_jobs_table(ref);
   ref.rebuild_zone_index(archive::kDefaultChunkRows);
-  std::printf("[setup] %zu jobs, single-warehouse reference built in %.2fs\n", kRows,
-              seconds_since(t0));
+  const SingleWarehouse single{&ref, warehouse::rollup::build_from_table(ref)};
+  std::printf("[setup] %zu jobs, single-warehouse reference and rollups built in %.2fs\n",
+              kRows, seconds_since(t0));
 
   bench::BenchJson json("federation");
   json.record("setup")
@@ -113,17 +144,17 @@ int main() {
       .num("mix", static_cast<double>(query_mix().size()))
       .num("threads", static_cast<double>(kThreads));
 
-  const ParsedMix mix = parse_mix();
+  const std::vector<service::QuerySpec> specs = parse_mix();
 
   // Single-warehouse baseline: the same compiled queries against the
-  // un-sharded reference (what a non-federated deployment answers).
+  // un-sharded reference and its rollups (what a non-federated deployment
+  // answers).
   std::vector<warehouse::Table> baseline;
   std::vector<double> base_ms;
   for (int it = 0; it < kIterations; ++it) {
-    for (std::size_t i = 0; i < mix.specs.size(); ++i) {
+    for (const service::QuerySpec& spec : specs) {
       const auto tq = std::chrono::steady_clock::now();
-      warehouse::Query q = service::compile(mix.specs[i], ref);
-      warehouse::Table result = q.run();
+      warehouse::Table result = single.run(spec);
       base_ms.push_back(seconds_since(tq) * 1e3);
       if (it == 0) baseline.push_back(std::move(result));
     }
@@ -131,47 +162,58 @@ int main() {
   std::sort(base_ms.begin(), base_ms.end());
   const double base_p50 = quantile(base_ms, 0.5);
   const double base_p99 = quantile(base_ms, 0.99);
-  std::printf("[baseline] single warehouse: p50 %8.3f ms  p99 %8.3f ms\n", base_p50,
-              base_p99);
+  std::printf("[baseline] single warehouse with rollups: p50 %8.3f ms  p99 %8.3f ms\n",
+              base_p50, base_p99);
   json.record("single_warehouse").num("p50_ms", base_p50).num("p99_ms", base_p99);
 
+  std::vector<Leg> legs;
   for (const std::size_t nshards : kShardCounts) {
+    legs.push_back({"cells", testkit::split_jobs_for_shards(jobs, nshards, bench::kSeed)});
+  }
+  legs.push_back({"clusters", by_cluster(jobs)});
+
+  for (const Leg& leg : legs) {
+    const std::size_t nshards = leg.slices.size();
     t0 = std::chrono::steady_clock::now();
-    const FedBench f = make_fed(jobs, nshards);
+    const FedBench f = make_fed(leg);
     const double build_s = seconds_since(t0);
 
     // Identity gate: every mix query, merged scatter-gather vs the baseline
     // table. Any bit difference is a hard bench failure.
-    for (std::size_t i = 0; i < mix.specs.size(); ++i) {
-      const service::RemoteResult res = f.fed->run(mix.specs[i]);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const service::RemoteResult res = f.fed->run(specs[i]);
       if (!res.complete) {
-        std::fprintf(stderr, "bench_federation: incomplete scatter at %zu shards\n",
-                     nshards);
+        std::fprintf(stderr, "bench_federation: incomplete scatter (%s, %zu shards)\n",
+                     leg.placement, nshards);
         return 1;
       }
       if (auto diff = testkit::table_diff(*res.table, baseline[i])) {
         std::fprintf(stderr,
-                     "bench_federation: %zu-shard merge diverged from single "
+                     "bench_federation: %s %zu-shard merge diverged from single "
                      "warehouse: %s\n  %s\n",
-                     nshards, diff->c_str(), query_mix()[i].c_str());
+                     leg.placement, nshards, diff->c_str(), query_mix()[i].c_str());
         return 1;
       }
     }
-    std::printf("[gate] %zu shards: %zu queries bit-identical to single warehouse\n",
-                nshards, mix.specs.size());
+    std::printf("[gate] %s x%zu: %zu queries bit-identical to single warehouse\n",
+                leg.placement, nshards, specs.size());
 
-    // Scatter-gather latency over the mix.
+    // Scatter-gather latency over the mix, plus what the shard reports say
+    // crossed the wire and at which fold level.
     std::vector<double> ms;
-    std::size_t pruned_contacts = 0, total_reports = 0;
+    std::size_t pruned_contacts = 0, total_reports = 0, response_bytes = 0;
+    std::array<std::size_t, 3> levels{};
     for (int it = 0; it < kIterations; ++it) {
-      for (const service::QuerySpec& spec : mix.specs) {
+      for (const service::QuerySpec& spec : specs) {
         const auto tq = std::chrono::steady_clock::now();
         const service::RemoteResult res = f.fed->run(spec);
         ms.push_back(seconds_since(tq) * 1e3);
         for (const auto& s : res.shards) {
           ++total_reports;
-          if (s.outcome == service::RemoteShardReport::Outcome::kPruned) {
-            ++pruned_contacts;
+          response_bytes += s.bytes;
+          if (s.outcome == service::RemoteShardReport::Outcome::kPruned) ++pruned_contacts;
+          if (s.outcome == service::RemoteShardReport::Outcome::kOk) {
+            ++levels[static_cast<std::size_t>(s.level)];
           }
         }
       }
@@ -183,31 +225,39 @@ int main() {
         total_reports > 0
             ? static_cast<double>(pruned_contacts) / static_cast<double>(total_reports)
             : 0.0;
+    // Every pass ships the same answers, so per-pass figures are exact.
+    const double bytes_per_pass = static_cast<double>(response_bytes) / kIterations;
+    const auto per_pass = [](std::size_t n) { return static_cast<double>(n) / kIterations; };
+    const double folded = per_pass(levels[1] + levels[2]);
 
-    // Wire cost: serialized partial bytes shipped back for one mix pass.
-    std::size_t wire_bytes = 0;
-    for (const service::QuerySpec& spec : mix.specs) {
-      for (const auto& ex : f.executors) {
-        const federation::wire::PartialMsg partial = ex->execute(spec, 0, "job_id");
-        wire_bytes += federation::wire::pack_partial(partial).size();
-      }
-    }
-
-    std::printf("[scatter] %zu shards: p50 %8.3f ms  p99 %8.3f ms  "
-                "(vs baseline p50 %.2fx, prune rate %.2f, %zu partial bytes/pass)\n",
-                nshards, p50, p99, p50 > 0 ? base_p50 / p50 : 0.0, prune_rate,
-                wire_bytes);
+    std::printf("[scatter] %-8s x%zu: p50 %8.3f ms  p99 %8.3f ms  (vs baseline p50 "
+                "%.2fx, prune rate %.2f, %.0f response bytes/pass, answers/pass: "
+                "%.0f days %.0f tuples %.0f groups)\n",
+                leg.placement, nshards, p50, p99, p50 > 0 ? base_p50 / p50 : 0.0,
+                prune_rate, bytes_per_pass, per_pass(levels[0]), per_pass(levels[1]),
+                per_pass(levels[2]));
     json.record("scatter_gather")
+        .str("placement", leg.placement)
         .num("shards", static_cast<double>(nshards))
         .num("build_s", build_s)
         .num("p50_ms", p50)
         .num("p99_ms", p99)
         .num("p50_vs_baseline", base_p50 > 0 ? p50 / base_p50 : 0.0)
         .num("prune_rate", prune_rate)
-        .num("partial_bytes_per_pass", static_cast<double>(wire_bytes));
+        .num("response_bytes_per_pass", bytes_per_pass)
+        .num("day_answers_per_pass", per_pass(levels[0]))
+        .num("tuple_answers_per_pass", per_pass(levels[1]))
+        .num("group_answers_per_pass", per_pass(levels[2]));
+
+    // One shard per cluster is exactly where the catalog proves ownership:
+    // a planner that never folds there has lost the optimisation.
+    if (std::string(leg.placement) == "clusters" && folded == 0.0) {
+      std::fprintf(stderr, "bench_federation: cluster placement folded no answers\n");
+      return 1;
+    }
   }
 
   json.write("BENCH_federation.json");
-  std::printf("[done] federated answers bit-identical at every shard count\n");
+  std::printf("[done] federated answers bit-identical at every placement and shard count\n");
   return 0;
 }

@@ -89,4 +89,31 @@ std::vector<std::size_t> Catalog::prune(const service::QuerySpec& spec) const {
   return keep;
 }
 
+std::vector<warehouse::partial::Level> Catalog::levels(
+    const service::QuerySpec& spec, const std::vector<std::size_t>& contacted) const {
+  using warehouse::partial::Level;
+  if (contacted.size() == 1) return {Level::kGroups};
+  const bool cluster_key = std::find(spec.group_by.begin(), spec.group_by.end(), "cluster") !=
+                           spec.group_by.end();
+  const auto shares_cluster = [](const ShardInfo& a, const ShardInfo& b) {
+    if (a.clusters.empty() || b.clusters.empty()) return true;  // unknown: may share
+    return std::any_of(a.clusters.begin(), a.clusters.end(), [&b](const std::string& c) {
+      return std::find(b.clusters.begin(), b.clusters.end(), c) != b.clusters.end();
+    });
+  };
+  std::vector<Level> out;
+  out.reserve(contacted.size());
+  for (const std::size_t i : contacted) {
+    bool exclusive = true;
+    for (const std::size_t j : contacted) {
+      if (j != i && shares_cluster(shards_[i], shards_[j])) {
+        exclusive = false;
+        break;
+      }
+    }
+    out.push_back(!exclusive ? Level::kDays : cluster_key ? Level::kGroups : Level::kTuples);
+  }
+  return out;
+}
+
 }  // namespace supremm::federation

@@ -10,6 +10,13 @@
 // disjoint from its day range). NaN bounds prune nothing: a NaN comparison
 // matches no rows, but proving that is the executor's job, not the
 // catalog's.
+//
+// The catalog also proves ownership, which decides how far each contacted
+// shard may fold its partial (levels()). Every partial tuple carries its
+// cluster, so a shard whose clusters no other contacted shard lists holds
+// every row of each tuple it reports, and of each group when `cluster` is a
+// group key. Anything weaker ships day cells, the only partial that stays
+// exact when a cluster's cells are spread over several shards.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +25,7 @@
 #include <vector>
 
 #include "service/request.h"
+#include "warehouse/partial.h"
 
 namespace supremm::federation {
 
@@ -43,6 +51,16 @@ class Catalog {
   /// be empty when every shard is provably irrelevant — the planner still
   /// contacts one shard so an empty result keeps the real output schema.
   [[nodiscard]] std::vector<std::size_t> prune(const service::QuerySpec& spec) const;
+
+  /// The fold level each shard of `contacted` (prune()'s output) may answer
+  /// at, parallel to it: group totals when it is the only shard contacted,
+  /// or when no other contacted shard lists any of its clusters and
+  /// `cluster` is a group key; tuple totals when no other contacted shard
+  /// lists any of its clusters; day cells otherwise. A shard with an empty
+  /// (unknown) cluster list owns nothing provably and makes no other shard
+  /// exclusive either.
+  [[nodiscard]] std::vector<warehouse::partial::Level> levels(
+      const service::QuerySpec& spec, const std::vector<std::size_t>& contacted) const;
 
  private:
   std::vector<ShardInfo> shards_;

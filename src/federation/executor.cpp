@@ -16,39 +16,6 @@ namespace supremm::federation {
 
 namespace {
 
-// The compiled request terms, re-expressed for the rollup subsumption
-// checker — same lossless mapping the service uses, so a query that
-// subsumes at the coordinator subsumes at every shard.
-warehouse::rollup::QueryInput rollup_input(const service::QuerySpec& spec) {
-  warehouse::rollup::QueryInput in;
-  in.where.reserve(spec.where.size());
-  for (const service::Term& t : spec.where) {
-    warehouse::rollup::PredInput p;
-    switch (t.op) {
-      case service::TermOp::kEq:
-        p.op = warehouse::rollup::PredInput::Op::kEq;
-        break;
-      case service::TermOp::kGe:
-        p.op = warehouse::rollup::PredInput::Op::kGe;
-        break;
-      case service::TermOp::kLe:
-        p.op = warehouse::rollup::PredInput::Op::kLe;
-        break;
-      case service::TermOp::kBetween:
-        p.op = warehouse::rollup::PredInput::Op::kBetween;
-        break;
-    }
-    p.column = t.column;
-    p.value = t.value;
-    p.lo = t.lo;
-    p.hi = t.hi;
-    in.where.push_back(std::move(p));
-  }
-  in.group_by = spec.group_by;
-  in.aggs = spec.aggs;
-  return in;
-}
-
 const char* const kDims[] = {"user", "app", "cluster"};
 
 struct BucketKey {
@@ -105,12 +72,17 @@ ShardInfo ShardExecutor::info() const {
   return info;
 }
 
-wire::PartialMsg ShardExecutor::rollup_partial(const warehouse::rollup::Plan& plan) const {
-  // Serve the partial from level-0 (day) cells, whatever level the plan
-  // resolved: the coordinator folds day-level states, and a day cell is
-  // exactly the raw contract's micro-cell (rollup::serve reconstructs the
-  // same states; PR 8's differential suite pins that equivalence).
-  const warehouse::Table& t = rollups_->level(0);
+wire::PartialMsg ShardExecutor::rollup_partial(const warehouse::rollup::Plan& plan,
+                                               warehouse::partial::Level level) const {
+  // A day-level answer reads level-0 (day) cells whatever level the plan
+  // resolved: the coordinator may union them with other shards' day cells,
+  // and a day cell is exactly the raw contract's micro-cell (rollup::serve
+  // reconstructs the same states; the rollup differential suite pins that
+  // equivalence). A folded answer reads the plan's coarsest level, whose
+  // cells tree-fold to the same tuple totals as the day cells they cover.
+  const std::size_t li = level == warehouse::partial::Level::kDays ? 0 : plan.level;
+  const warehouse::Table& t = rollups_->level(li);
+  const std::int64_t grain = warehouse::rollup::levels()[li].grain;
   const std::size_t naggs = plan.aggs.size();
 
   wire::PartialMsg msg;
@@ -177,8 +149,8 @@ wire::PartialMsg ShardExecutor::rollup_partial(const warehouse::rollup::Plan& pl
     }
   }
 
-  // Select day cells and bucket them into tuples. Table order is (bucket
-  // ASC, min_jobid ASC), so each tuple's day list comes out ascending.
+  // Select cells and bucket them into tuples. Table order is (bucket ASC,
+  // min_jobid ASC), so each tuple's bucket list comes out ascending.
   using Key = std::vector<std::int64_t>;
   std::map<Key, std::size_t> tuple_lookup;
   std::size_t selected = 0;
@@ -187,7 +159,7 @@ wire::PartialMsg ShardExecutor::rollup_partial(const warehouse::rollup::Plan& pl
   for (std::size_t r = 0; r < nrows; ++r) {
     const std::int64_t b = bucket[r];
     if (plan.has_lo && b < plan.d_lo) continue;
-    if (plan.has_hi && b > plan.d_hi) continue;
+    if (plan.has_hi && b + grain - 1 > plan.d_hi) continue;
     bool pass = true;
     for (const auto& [codes, code] : dim_tests) {
       if (codes[r] != code) {
@@ -256,12 +228,14 @@ wire::PartialMsg ShardExecutor::rollup_partial(const warehouse::rollup::Plan& pl
 
   p.stats.rows_scanned = nrows;  // 0 on the dim-literal dictionary miss
   p.stats.rows_matched = selected;
+  warehouse::partial::fold_to(p, level);
   return msg;
 }
 
 wire::PartialMsg ShardExecutor::execute(const service::QuerySpec& spec,
                                         std::uint32_t deadline_ms,
-                                        const std::string& rank_column) const {
+                                        const std::string& rank_column,
+                                        warehouse::partial::Level level) const {
   if (spec.table != jobs_.name()) {
     throw common::InvalidArgument("shard " + name_ + " does not host table '" + spec.table +
                                   "'");
@@ -273,8 +247,8 @@ wire::PartialMsg ShardExecutor::execute(const service::QuerySpec& spec,
   }
 
   if (rollups_ != nullptr && warehouse::rollup::enabled()) {
-    if (const auto plan = warehouse::rollup::subsume(rollup_input(spec))) {
-      return rollup_partial(*plan);
+    if (const auto plan = warehouse::rollup::subsume(service::to_rollup_input(spec))) {
+      return rollup_partial(*plan, level);
     }
   }
 
@@ -283,6 +257,7 @@ wire::PartialMsg ShardExecutor::execute(const service::QuerySpec& spec,
   wire::PartialMsg msg;
   msg.rollup_served = false;
   msg.partial = q.run_partial(rank_column);
+  warehouse::partial::fold_to(msg.partial, level);
   return msg;
 }
 
@@ -306,7 +281,8 @@ std::string ShardExecutor::serve(std::string_view request) const {
       throw common::ParseError("wire: trailing bytes after query conversation");
     }
     const wire::QueryMsg msg = wire::unpack_query(query.payload);
-    const wire::PartialMsg out = execute(msg.spec, msg.deadline_ms, msg.rank_column);
+    const wire::PartialMsg out =
+        execute(msg.spec, msg.deadline_ms, msg.rank_column, msg.level);
     return wire::frame(wire::MsgType::kHelloAck, wire::pack_hello_ack({name_})) +
            wire::frame(wire::MsgType::kPartial, wire::pack_partial(out));
   } catch (const common::Cancelled& e) {

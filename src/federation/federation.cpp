@@ -1,6 +1,7 @@
 #include "federation/federation.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <optional>
 #include <thread>
@@ -75,11 +76,19 @@ service::RemoteResult Federation::run(const service::QuerySpec& spec) const {
   // Every shard provably irrelevant: still ask one, so the empty answer
   // carries the real output schema (the executor's scan selects nothing).
   if (contacted.empty()) contacted.push_back(0);
+  const std::vector<warehouse::partial::Level> levels = catalog_.levels(spec, contacted);
 
-  const std::string request =
-      wire::frame(wire::MsgType::kHello, wire::pack_hello({cfg_.client})) +
-      wire::frame(wire::MsgType::kQuery,
-                  wire::pack_query({spec, cfg_.shard_deadline_ms, cfg_.rank_column}));
+  // One request conversation per fold level in use; shards asked for the
+  // same level get the same bytes.
+  std::array<std::string, 3> requests;
+  for (const warehouse::partial::Level level : levels) {
+    std::string& request = requests[static_cast<std::size_t>(level)];
+    if (!request.empty()) continue;
+    request = wire::frame(wire::MsgType::kHello, wire::pack_hello({cfg_.client})) +
+              wire::frame(wire::MsgType::kQuery,
+                          wire::pack_query({spec, cfg_.shard_deadline_ms,
+                                            cfg_.rank_column, level}));
+  }
 
   // Scatter: one thread per contacted shard. Transports own their blocking
   // I/O; the per-shard deadline rides inside exchange().
@@ -88,18 +97,29 @@ service::RemoteResult Federation::run(const service::QuerySpec& spec) const {
     std::vector<std::thread> threads;
     threads.reserve(contacted.size());
     for (std::size_t i = 0; i < contacted.size(); ++i) {
-      threads.emplace_back([this, &request, &gathered, &contacted, i] {
+      threads.emplace_back([this, &requests, &levels, &gathered, &contacted, i] {
         const std::size_t shard_idx = contacted[i];
+        const warehouse::partial::Level asked = levels[i];
         Gathered& g = gathered[i];
         g.report.shard = catalog_.shards()[shard_idx].name;
         const Clock::time_point t0 = Clock::now();
         try {
-          const std::string resp =
-              transports_[shard_idx]->exchange(request, cfg_.shard_deadline_ms);
+          const std::string resp = transports_[shard_idx]->exchange(
+              requests[static_cast<std::size_t>(asked)], cfg_.shard_deadline_ms);
+          g.report.bytes = resp.size();
           wire::ErrorMsg err;
           if (auto partial = parse_response(resp, &err)) {
+            // Folding past the asked level would merge rows the catalog
+            // does not prove this shard owns.
+            if (partial->partial.level > asked) {
+              throw common::ParseError(
+                  std::string("wire: shard folded to ") +
+                  warehouse::partial::to_string(partial->partial.level) +
+                  ", coordinator asked for " + warehouse::partial::to_string(asked));
+            }
             g.report.outcome = service::RemoteShardReport::Outcome::kOk;
             g.report.rollup_served = partial->rollup_served;
+            g.report.level = partial->partial.level;
             g.report.stats = partial->partial.stats;
             g.partial = std::move(partial);
           } else if (err.timeout) {

@@ -1,14 +1,17 @@
 // The scatter-gather coordinator (DESIGN.md §17): the service-side planner
 // that turns one compiled QuerySpec into per-shard conversations and merges
-// the day-level partials back into the exact table a single warehouse would
+// the shard partials back into the exact table a single warehouse would
 // have produced.
 //
 // Federation implements service::RemoteExecutor, so a Service routes every
 // query against `config().table` here with Service::bind_remote. The plan
-// is fixed: prune shards by catalog bounds, scatter the same request bytes
-// to every surviving shard on its own thread (each transport carries the
-// per-shard deadline), gather partials, merge with
-// warehouse::partial::merge_partials. Shard failures degrade rather than
+// is fixed: prune shards by catalog bounds, pick each surviving shard's
+// fold level from the catalog (Catalog::levels: day cells, tuple totals or
+// group totals, by what the shard provably owns), scatter the request at
+// that level to every surviving shard on its own thread (each transport
+// carries the per-shard deadline), gather partials, merge with
+// warehouse::partial::merge_partials. A partial folded further than asked
+// is a protocol error for that shard. Shard failures degrade rather than
 // fail: the merged answer covers the shards that responded and the result
 // reports complete=false (the service responds Status::kPartial). Only a
 // scatter with zero successful shards throws.

@@ -98,6 +98,13 @@ warehouse::AggKind agg_kind(std::uint8_t v) {
   return static_cast<warehouse::AggKind>(v);
 }
 
+warehouse::partial::Level fold_level(std::uint8_t v) {
+  if (v > static_cast<std::uint8_t>(warehouse::partial::Level::kGroups)) {
+    throw common::ParseError("wire: unknown fold level " + std::to_string(v));
+  }
+  return static_cast<warehouse::partial::Level>(v);
+}
+
 warehouse::ColType col_type(std::uint8_t v) {
   if (v > static_cast<std::uint8_t>(warehouse::ColType::kString)) {
     throw common::ParseError("wire: unknown column type " + std::to_string(v));
@@ -238,6 +245,7 @@ std::string pack_query(const QueryMsg& m) {
   w.u32(static_cast<std::uint32_t>(m.spec.threads));
   w.u32(m.deadline_ms);
   w.str(m.rank_column);
+  w.u8(static_cast<std::uint8_t>(m.level));
   return w.take();
 }
 
@@ -275,6 +283,7 @@ QueryMsg unpack_query(std::string_view payload) {
   m.spec.threads = r.u32();
   m.deadline_ms = r.u32();
   m.rank_column = r.str();
+  m.level = fold_level(r.u8());
   r.expect_done();
   return m;
 }
@@ -285,6 +294,7 @@ std::string pack_partial(const PartialMsg& m) {
   Writer w;
   w.u8(m.rollup_served ? 1 : 0);
   const auto& p = m.partial;
+  w.u8(static_cast<std::uint8_t>(p.level));
   w.u64(p.stats.chunks_total);
   w.u64(p.stats.chunks_pruned);
   w.u64(p.stats.rows_scanned);
@@ -318,6 +328,8 @@ PartialMsg unpack_partial(std::string_view payload) {
   }
   m.rollup_served = rollup == 1;
   auto& p = m.partial;
+  p.level = fold_level(r.u8());
+  const bool folded = p.level != warehouse::partial::Level::kDays;
   p.stats.chunks_total = r.u64();
   p.stats.chunks_pruned = r.u64();
   p.stats.rows_scanned = r.u64();
@@ -349,11 +361,19 @@ PartialMsg unpack_partial(std::string_view payload) {
     t.group.reserve(ngroup);
     for (std::uint32_t k = 0; k < ngroup; ++k) t.group.push_back(get_key_value(r));
     const std::uint32_t nextra = r.u32();
+    if (p.level == warehouse::partial::Level::kGroups && nextra != 0) {
+      throw common::ParseError("wire: group total carries " + std::to_string(nextra) +
+                               " extra keys");
+    }
     r.check_count(nextra, kMinKeyValueBytes);
     t.extra.reserve(nextra);
     for (std::uint32_t k = 0; k < nextra; ++k) t.extra.push_back(get_key_value(r));
     t.rank = r.i64();
     const std::uint32_t ndays = r.u32();
+    if (ndays == 0 || (folded && ndays != 1)) {
+      throw common::ParseError("wire: " + std::string(warehouse::partial::to_string(p.level)) +
+                               "-level tuple carries " + std::to_string(ndays) + " day entries");
+    }
     r.check_count(ndays, 8 + p.naggs * kAggStateBytes);
     t.days.reserve(ndays);
     for (std::uint32_t d = 0; d < ndays; ++d) t.days.push_back(r.i64());

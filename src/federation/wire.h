@@ -14,8 +14,14 @@
 //
 // One shard conversation is two concatenated frames each way:
 //
-//   client → shard   Hello{client}, Query{spec, deadline_ms, rank_column}
-//   shard  → client  HelloAck{shard}, Partial{...}  — or Error{message}
+//   client → shard   Hello{client}, Query{spec, deadline_ms, rank_column, level}
+//   shard  → client  HelloAck{shard}, Partial{rollup_served, level, ...}
+//                    — or Error{message}
+//
+// Protocol v2 added the fold levels: the coordinator requests how far the
+// shard may fold its partial (day cells, tuple totals or group totals), and
+// the partial states the level it was folded to. The decoder checks that a
+// folded partial has the shape its level promises.
 //
 // Every decode path is bounds-checked and enum-validated: truncated input,
 // forged CRCs, implausible counts and out-of-range enums all surface as
@@ -34,7 +40,7 @@
 namespace supremm::federation::wire {
 
 inline constexpr std::uint32_t kMagic = 0x53555046u;  // "SUPF"
-inline constexpr std::uint16_t kProtocolVersion = 1;
+inline constexpr std::uint16_t kProtocolVersion = 2;
 inline constexpr std::uint32_t kMaxPayload = 1u << 28;
 inline constexpr std::size_t kFrameHeaderBytes = 12;  // magic+version+type+len
 
@@ -107,10 +113,14 @@ struct QueryMsg {
   service::QuerySpec spec;
   std::uint32_t deadline_ms = 0;  // 0 = no deadline
   std::string rank_column;        // "" = first-seen tuple order (single shard)
+  /// How far the shard may fold its partial: the catalog's proof of what
+  /// this shard owns (DESIGN.md §17).
+  warehouse::partial::Level level = warehouse::partial::Level::kDays;
 };
 
 struct PartialMsg {
   bool rollup_served = false;  // served from the shard's RollupSet
+  /// Carries the applied fold level in `partial.level`.
   warehouse::partial::Partial partial;
 };
 

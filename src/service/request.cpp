@@ -451,4 +451,28 @@ warehouse::Query compile(const QuerySpec& spec, const warehouse::Table& table) {
   return q;
 }
 
+warehouse::rollup::QueryInput to_rollup_input(const QuerySpec& spec) {
+  warehouse::rollup::QueryInput in;
+  in.where.reserve(spec.where.size());
+  for (const Term& t : spec.where) {
+    warehouse::rollup::PredInput p;
+    switch (t.op) {
+      case TermOp::kEq: p.op = warehouse::rollup::PredInput::Op::kEq; break;
+      case TermOp::kGe: p.op = warehouse::rollup::PredInput::Op::kGe; break;
+      case TermOp::kLe: p.op = warehouse::rollup::PredInput::Op::kLe; break;
+      case TermOp::kBetween:
+        p.op = warehouse::rollup::PredInput::Op::kBetween;
+        break;
+    }
+    p.column = t.column;
+    p.value = t.value;
+    p.lo = t.lo;
+    p.hi = t.hi;
+    in.where.push_back(std::move(p));
+  }
+  in.group_by = spec.group_by;
+  in.aggs = spec.aggs;
+  return in;
+}
+
 }  // namespace supremm::service

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "warehouse/query.h"
+#include "warehouse/rollup.h"
 #include "xdmod/realm.h"
 
 namespace supremm::service {
@@ -93,5 +94,11 @@ struct Request {
 /// mistyped columns, exactly as Query::run would.
 [[nodiscard]] warehouse::Query compile(const QuerySpec& spec,
                                        const warehouse::Table& table);
+
+/// The query's terms re-expressed for the rollup subsumption checker.
+/// Lossless (Term and rollup::PredInput have the same shape), so every
+/// server of the same request — the service, each federation shard, a
+/// bench baseline — reaches the same subsumption decision.
+[[nodiscard]] warehouse::rollup::QueryInput to_rollup_input(const QuerySpec& spec);
 
 }  // namespace supremm::service

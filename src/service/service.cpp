@@ -24,32 +24,6 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-// The compiled request terms, re-expressed for the rollup subsumption
-// checker. Lossless: Term and rollup::PredInput have the same shape.
-warehouse::rollup::QueryInput rollup_input(const QuerySpec& spec) {
-  warehouse::rollup::QueryInput in;
-  in.where.reserve(spec.where.size());
-  for (const Term& t : spec.where) {
-    warehouse::rollup::PredInput p;
-    switch (t.op) {
-      case TermOp::kEq: p.op = warehouse::rollup::PredInput::Op::kEq; break;
-      case TermOp::kGe: p.op = warehouse::rollup::PredInput::Op::kGe; break;
-      case TermOp::kLe: p.op = warehouse::rollup::PredInput::Op::kLe; break;
-      case TermOp::kBetween:
-        p.op = warehouse::rollup::PredInput::Op::kBetween;
-        break;
-    }
-    p.column = t.column;
-    p.value = t.value;
-    p.lo = t.lo;
-    p.hi = t.hi;
-    in.where.push_back(std::move(p));
-  }
-  in.group_by = spec.group_by;
-  in.aggs = spec.aggs;
-  return in;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -194,12 +168,18 @@ std::string to_json(const ServiceMetrics& m) {
     first_shard = false;
     out += common::strprintf(
         "\"%s\":{\"ok\":%llu,\"pruned\":%llu,\"rollup_served\":%llu,"
-        "\"timeouts\":%llu,\"errors\":%llu,\"total_ms\":%.3f}",
+        "\"timeouts\":%llu,\"errors\":%llu,"
+        "\"levels\":{\"days\":%llu,\"tuples\":%llu,\"groups\":%llu},"
+        "\"bytes\":%llu,\"total_ms\":%.3f}",
         name.c_str(), static_cast<unsigned long long>(s.ok),
         static_cast<unsigned long long>(s.pruned),
         static_cast<unsigned long long>(s.rollup_served),
         static_cast<unsigned long long>(s.timeouts),
-        static_cast<unsigned long long>(s.errors), s.total_ms);
+        static_cast<unsigned long long>(s.errors),
+        static_cast<unsigned long long>(s.levels[0]),
+        static_cast<unsigned long long>(s.levels[1]),
+        static_cast<unsigned long long>(s.levels[2]),
+        static_cast<unsigned long long>(s.bytes), s.total_ms);
   }
   out += "}},";
   out += common::strprintf("\"queue\":{\"depth\":%zu,\"peak\":%zu},",
@@ -599,12 +579,16 @@ void Service::execute(Job& job) {
             for (const RemoteShardReport& s : fed.shards) {
               ServiceMetrics::ShardCounters& c = counters_.shards[s.shard];
               switch (s.outcome) {
-                case RemoteShardReport::Outcome::kOk: ++c.ok; break;
+                case RemoteShardReport::Outcome::kOk:
+                  ++c.ok;
+                  ++c.levels[static_cast<std::size_t>(s.level)];
+                  break;
                 case RemoteShardReport::Outcome::kPruned: ++c.pruned; break;
                 case RemoteShardReport::Outcome::kTimedOut: ++c.timeouts; break;
                 case RemoteShardReport::Outcome::kError: ++c.errors; break;
               }
               if (s.rollup_served) ++c.rollup_served;
+              c.bytes += s.bytes;
               c.total_ms += s.ms;
             }
           }
@@ -643,7 +627,7 @@ void Service::execute(Job& job) {
           bool served = false;
           if (spec.table == archive::kJobsTable && job.snap->rollups &&
               warehouse::rollup::enabled()) {
-            if (const auto plan = warehouse::rollup::subsume(rollup_input(spec))) {
+            if (const auto plan = warehouse::rollup::subsume(to_rollup_input(spec))) {
               warehouse::Table out =
                   warehouse::rollup::serve(*job.snap->rollups, *plan, &r.stats);
               r.table = std::make_shared<const warehouse::Table>(std::move(out));

@@ -63,6 +63,7 @@
 #include "etl/job_summary.h"
 #include "service/cache.h"
 #include "service/request.h"
+#include "warehouse/partial.h"
 #include "warehouse/query.h"
 #include "warehouse/table.h"
 #include "xdmod/realm.h"
@@ -200,6 +201,10 @@ struct RemoteShardReport {
   std::string shard;
   Outcome outcome = Outcome::kOk;
   bool rollup_served = false;   // shard answered from its RollupSet
+  /// How far the shard folded its answer (kOk only): day cells, tuple
+  /// totals or group totals.
+  warehouse::partial::Level level = warehouse::partial::Level::kDays;
+  std::size_t bytes = 0;        // response conversation bytes received
   std::string error;            // sourced diagnostic for kTimedOut/kError
   warehouse::QueryStats stats;  // shard-side scan accounting (kOk only)
   double ms = 0.0;              // exchange wall time (0 when pruned)
@@ -280,6 +285,10 @@ struct ServiceMetrics {
     std::uint64_t rollup_served = 0;
     std::uint64_t timeouts = 0;
     std::uint64_t errors = 0;
+    /// kOk answers per applied fold level, indexed by partial::Level
+    /// (days, tuples, groups).
+    std::array<std::uint64_t, 3> levels{};
+    std::uint64_t bytes = 0;  // response bytes received
     double total_ms = 0.0;
   };
   std::map<std::string, ShardCounters> shards;

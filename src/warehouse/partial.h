@@ -9,15 +9,26 @@
 // first-seen order. The day-level cell states are the natural *partial*:
 // they are complete for any row subset that never splits a (sub-tuple, day)
 // cell, and the fold/merge stages are pure functions of them. This header
-// exposes that boundary:
+// exposes that boundary and the stages after it:
 //
 //   Query::run_partial()  shard side: the day-level tuple partials of a
 //                         query, built from the same sorted cell runs
 //                         Query::run folds, so the identity "merge of
 //                         partials == single scan" holds by construction
-//   merge_partials()      coordinator side: union shard partials, order
-//                         tuples by rank, fold, and emit the same "_agg"
-//                         table a single-warehouse scan would produce
+//   fold_tuples()         stage 1: each tuple's days through TimeTreeFold
+//   merge_groups()        stage 2: tuple totals into groups, rank order
+//   emit()                stage 3: the "_agg" table
+//   merge_partials()      coordinator side: union shard partials, then the
+//                         three stages — the same "_agg" table a
+//                         single-warehouse scan would produce
+//
+// A shard that provably owns every row of a tuple (or of a group) may run
+// the stages itself (fold_to) and ship one total per tuple (or group)
+// instead of its day cells. The coordinator then runs the same stages over
+// the folded states, and they pass unchanged: every accumulator starts at
+// +0.0 / ±inf, an accumulated sum is never -0.0 and an accumulated min/max
+// never NaN (aggstate.h), so folding one accumulated state through fresh
+// accumulators is a bitwise no-op.
 //
 // Determinism across shards: the engine emits groups (and sub-tuples within
 // a group) in first-match order. On a table sorted ascending by a unique
@@ -56,8 +67,19 @@ struct KeyValue {
   bool operator==(const KeyValue&) const = default;
 };
 
-/// Day-level partial states of one (group tuple, partition sub-tuple):
-/// everything the coordinator needs to finish the aggregation exactly.
+/// How far a partial has been folded: the number of merge stages already
+/// applied to it. Each level is only correct for a shard that owns every
+/// row of the unit it folds (DESIGN.md §17 catalog rule).
+enum class Level : std::uint8_t {
+  kDays = 0,    // per tuple, one state per day (or rollup bucket) cell
+  kTuples = 1,  // per tuple, one folded total
+  kGroups = 2,  // per group, one merged total; no extra subkeys
+};
+[[nodiscard]] const char* to_string(Level level);
+
+/// Partial states of one (group tuple, partition sub-tuple) — or, at
+/// Level::kGroups, of one group: everything the coordinator needs to finish
+/// the aggregation exactly.
 struct TuplePartial {
   std::vector<KeyValue> group;  // group-key values, spec order
   std::vector<KeyValue> extra;  // partition subkeys not among the group keys
@@ -65,27 +87,55 @@ struct TuplePartial {
   /// with a rank column; the federation uses job_id). With no rank column
   /// this is the tuple's first-seen index — meaningful only within one run.
   std::int64_t rank = 0;
-  std::vector<std::int64_t> days;  // ascending day indices with matches
-  std::vector<AggState> states;    // [day_idx * naggs + agg]
+  /// Ascending day indices with matches (the first day of each rollup
+  /// bucket when served from a coarser rollup level). A folded tuple or
+  /// group keeps exactly one entry, its first day, which only keys the fold.
+  std::vector<std::int64_t> days;
+  std::vector<AggState> states;  // [day_idx * naggs + agg]
 };
 
-/// A serializable shard answer: per-tuple day partials plus this shard's
-/// scan accounting. `key_schema` fixes the output key columns; every shard
-/// of a federation must agree on it (same table schema).
+/// A serializable shard answer: per-tuple partials at `level` plus this
+/// shard's scan accounting. `key_schema` fixes the output key columns;
+/// every shard of a federation must agree on it (same table schema).
 struct Partial {
   QueryStats stats;
   std::vector<std::pair<std::string, ColType>> key_schema;
   std::size_t naggs = 0;
+  Level level = Level::kDays;
   std::vector<TuplePartial> tuples;
 };
 
+/// Stage 1: fold each tuple's cells, in ascending day order, through
+/// TimeTreeFold into one total (equal days — a placement that split a cell —
+/// first merge in list order). Each tuple keeps one entry keyed by its first
+/// day; `level` becomes at least kTuples. A single-entry tuple comes out
+/// bitwise unchanged.
+void fold_tuples(Partial& p);
+
+/// Stage 2: merge tuple totals into groups. Tuples are taken in ascending
+/// rank order (stable), so groups form in first-seen order and each group
+/// left-folds its tuples from +0.0 accumulators; every group becomes one
+/// tuple (no extra keys, the group's minimum rank and first day), emitted in
+/// that order. Requires kTuples or above; sets kGroups.
+void merge_groups(Partial& p);
+
+/// Stage 3: the "_agg" table a single-warehouse Query::run produces, one row
+/// per group in list order. Requires kGroups.
+[[nodiscard]] Table emit(const Partial& p, const std::vector<AggSpec>& aggs,
+                         const std::string& out_name);
+
+/// Shard side: run the stages up to `level` (kDays leaves `p` as it is).
+void fold_to(Partial& p, Level level);
+
 /// Coordinator-side merge: union tuples across shards by exact key values
 /// (day lists merge; a day present in two partials — a placement that split
-/// a cell — left-folds in `parts` order, deterministically), order tuples
-/// and groups by ascending rank, fold, and emit the "_agg" result table.
-/// `stats`, when non-null, receives the field-wise sum of the shard stats.
-/// Throws InvalidArgument on empty input or mismatched key schemas / agg
-/// counts between shards.
+/// a cell — left-folds in `parts` order, deterministically), then
+/// fold_tuples, merge_groups and emit. Parts may mix levels; folded states
+/// pass the stages unchanged. `stats`, when non-null, receives the
+/// field-wise sum of the shard stats. Throws InvalidArgument on empty input,
+/// mismatched key schemas / agg counts between shards, a malformed tuple, or
+/// a folded tuple or group that two partials report (a shard folded a unit
+/// it did not own, so its total would be counted twice).
 [[nodiscard]] Table merge_partials(std::span<const Partial> parts,
                                    const std::vector<AggSpec>& aggs,
                                    const std::string& out_name,

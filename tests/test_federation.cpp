@@ -7,6 +7,7 @@
 // sourced error, never a crash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -157,27 +158,70 @@ std::string request_bytes(const sv::QuerySpec& spec) {
          wire::frame(wire::MsgType::kQuery, wire::pack_query({spec, 0, "job_id"}));
 }
 
+/// One shard per cluster of a rollup population (c0, c1, c2): every shard
+/// holds its cluster exclusively.
+std::vector<std::vector<etl::JobSummary>> cluster_slices(
+    const std::vector<etl::JobSummary>& jobs) {
+  std::vector<std::vector<etl::JobSummary>> slices(3);
+  for (const auto& j : jobs) slices[static_cast<std::size_t>(j.cluster[1] - '0')].push_back(j);
+  return slices;
+}
+
+bool groups_by_cluster(const sv::QuerySpec& spec) {
+  return std::find(spec.group_by.begin(), spec.group_by.end(), "cluster") !=
+         spec.group_by.end();
+}
+
+std::size_t contacted_shards(const sv::RemoteResult& res) {
+  std::size_t n = 0;
+  for (const auto& s : res.shards) n += s.outcome != sv::RemoteShardReport::Outcome::kPruned;
+  return n;
+}
+
+/// The catalog's fold rule (DESIGN.md §17) for one answering shard: a lone
+/// contacted shard folds to groups; one whose clusters no other contacted
+/// shard holds folds to tuples, or to groups when `cluster` is a group key;
+/// anything else ships day cells.
+wh::partial::Level expected_level(const sv::RemoteResult& res, const sv::QuerySpec& spec,
+                                  bool exclusive) {
+  using wh::partial::Level;
+  if (contacted_shards(res) == 1) return Level::kGroups;
+  if (!exclusive) return Level::kDays;
+  return groups_by_cluster(spec) ? Level::kGroups : Level::kTuples;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // The §17 tentpole: merged scatter-gather == single warehouse, bit for bit,
 // for shard counts {1,2,5} x threads {1,8} x rollups {off,on}, under
-// adversarial (seed-random per (cluster, day) cell) placement.
+// adversarial (seed-random per (cluster, day) cell) placement, and under
+// one shard per cluster, where shards fold tuple and group totals.
 
 TEST(FederationFuzz, ShardCountsThreadsRollupsBitIdentical) {
   EnabledGuard guard;
   constexpr std::size_t kQueries = 90;
+  struct Placement {
+    std::string name;
+    std::vector<std::vector<etl::JobSummary>> slices;
+    bool exclusive = false;  // every shard holds its clusters alone
+  };
+  std::vector<Placement> placements;
   for (const std::size_t nshards : shard_counts()) {
-    const auto slices =
-        tk::split_jobs_for_shards(fuzz_jobs(), nshards, kSeed + nshards);
+    placements.push_back({"cells x" + std::to_string(nshards),
+                          tk::split_jobs_for_shards(fuzz_jobs(), nshards, kSeed + nshards),
+                          false});
+  }
+  placements.push_back({"clusters", cluster_slices(fuzz_jobs()), true});
+
+  for (const Placement& pl : placements) {
     for (const bool rollups : {false, true}) {
-      const Fed f = make_fed(slices, rollups);
+      const Fed f = make_fed(pl.slices, rollups);
       for (std::uint64_t q = 0; q < kQueries; ++q) {
         tk::QuerySpec tspec;
         sv::QuerySpec spec = fuzz_spec(q, &tspec);
-        SCOPED_TRACE("shards=" + std::to_string(nshards) +
-                     " rollups=" + std::to_string(rollups) + " query " +
-                     std::to_string(q) + ": " + tk::describe(tspec));
+        SCOPED_TRACE("placement=" + pl.name + " rollups=" + std::to_string(rollups) +
+                     " query " + std::to_string(q) + ": " + tk::describe(tspec));
         for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
           spec.threads = threads;
           tspec.threads = threads;
@@ -185,11 +229,16 @@ TEST(FederationFuzz, ShardCountsThreadsRollupsBitIdentical) {
           ASSERT_TRUE(res.complete);
           const tk::QueryRun raw = tk::run_engine(fuzz_ref(), tspec);
           expect_tables_identical(*res.table, raw.table);
+          const wh::partial::Level want = expected_level(res, spec, pl.exclusive);
+          for (const sv::RemoteShardReport& s : res.shards) {
+            if (s.outcome != sv::RemoteShardReport::Outcome::kOk) continue;
+            EXPECT_EQ(s.level, want) << s.shard;
+          }
         }
         // The engine itself is pinned against the row-at-a-time oracle for
         // the same (seed, index) stream — keep a slice of that differential
         // here so the federation suite is self-contained.
-        if (q < 25 && nshards == shard_counts().front() && !rollups) {
+        if (q < 25 && &pl == &placements.front() && !rollups) {
           tspec.threads = 1;
           const auto diff = tk::differential_check(fuzz_ref(), tspec, 1);
           ASSERT_FALSE(diff.has_value()) << *diff;
@@ -197,6 +246,88 @@ TEST(FederationFuzz, ShardCountsThreadsRollupsBitIdentical) {
       }
     }
   }
+}
+
+// A mixed catalog: c0 and c1 each on their own shard, c2 split over two
+// shards by (cluster, day) cells. The exclusive shards fold while the c2
+// pair must ship day cells, so merges union day cells with folded totals.
+TEST(FederationFuzz, MixedCatalogMergesDayTupleAndGroupPartials) {
+  EnabledGuard guard;
+  std::vector<std::vector<etl::JobSummary>> slices(4);
+  for (const auto& j : fuzz_jobs()) {
+    const std::size_t c = static_cast<std::size_t>(j.cluster[1] - '0');
+    slices[c < 2 ? c : 2 + static_cast<std::size_t>(wh::end_day_index(j.end) % 2)].push_back(j);
+  }
+  for (const bool rollups : {false, true}) {
+    const Fed f = make_fed(slices, rollups);
+    std::size_t mixed = 0;
+    for (std::uint64_t q = 0; q < 60; ++q) {
+      tk::QuerySpec tspec;
+      const sv::QuerySpec spec = fuzz_spec(q, &tspec);
+      SCOPED_TRACE("rollups=" + std::to_string(rollups) + " query " + std::to_string(q) +
+                   ": " + tk::describe(tspec));
+      const sv::RemoteResult res = f.federation->run(spec);
+      ASSERT_TRUE(res.complete);
+      expect_tables_identical(*res.table, tk::run_engine(fuzz_ref(), tspec).table);
+      // Reports list contacted shards first; index them by catalog position.
+      std::map<std::string, const sv::RemoteShardReport*> by_name;
+      for (const auto& s : res.shards) by_name[s.shard] = &s;
+      ASSERT_EQ(by_name.size(), 4u);
+      const auto report = [&by_name](std::size_t i) -> const sv::RemoteShardReport& {
+        return *by_name.at("shard" + std::to_string(i));
+      };
+      const auto contacted = [&report](std::size_t i) {
+        return report(i).outcome != sv::RemoteShardReport::Outcome::kPruned;
+      };
+      bool any_days = false, any_folded = false;
+      for (std::size_t i = 0; i < 4; ++i) {
+        if (!contacted(i)) continue;
+        // The c2 pair owns its tuples only when its sibling is not contacted.
+        const bool exclusive = i < 2 || !contacted(i == 2 ? 3 : 2);
+        EXPECT_EQ(report(i).level, expected_level(res, spec, exclusive)) << i;
+        (report(i).level == wh::partial::Level::kDays ? any_days : any_folded) = true;
+      }
+      mixed += any_days && any_folded;
+    }
+    EXPECT_GE(mixed, 10u);
+  }
+
+  // One merge over all three levels at once: the exclusive shards answer as
+  // group and tuple totals (folding less than the catalog allows is always
+  // legal), the c2 pair as day cells.
+  const Fed f = make_fed(slices, /*rollups=*/true);
+  const sv::QuerySpec spec = parse_query(
+      "query jobs group cluster, user agg count(), sum(node_hours), "
+      "wmean(cpu_idle, node_hours), min(mem_used_gb), max(mem_used_gb)");
+  using wh::partial::Level;
+  const Level asked[] = {Level::kGroups, Level::kTuples, Level::kDays, Level::kDays};
+  std::vector<wh::partial::Partial> parts;
+  for (std::size_t i = 0; i < 4; ++i) {
+    parts.push_back(f.executors[i]->execute(spec, 0, "job_id", asked[i]).partial);
+    EXPECT_EQ(parts.back().level, asked[i]);
+  }
+  tk::QuerySpec tspec;
+  tspec.group_by = {"cluster", "user"};
+  tspec.aggs = {agg(wh::AggKind::kCount), agg(wh::AggKind::kSum, "node_hours"),
+                agg(wh::AggKind::kWeightedMean, "cpu_idle"),
+                agg(wh::AggKind::kMin, "mem_used_gb"), agg(wh::AggKind::kMax, "mem_used_gb")};
+  tspec.aggs[2].weight = "node_hours";
+  const wh::Table merged = wh::partial::merge_partials(parts, spec.aggs, "jobs_agg");
+  expect_tables_identical(merged, tk::run_engine(fuzz_ref(), tspec).table);
+
+  // A folded unit another partial also reports would count rows twice: the
+  // c2 shards hold halves of the same tuples, so neither may fold them.
+  for (const Level level : {Level::kTuples, Level::kGroups}) {
+    std::vector<wh::partial::Partial> split = {
+        f.executors[2]->execute(spec, 0, "job_id", level).partial,
+        f.executors[3]->execute(spec, 0, "job_id", Level::kDays).partial};
+    EXPECT_THROW((void)wh::partial::merge_partials(split, spec.aggs, "jobs_agg"),
+                 sc::InvalidArgument)
+        << wh::partial::to_string(level);
+  }
+  const std::vector<wh::partial::Partial> twice = {parts[0], parts[0]};
+  EXPECT_THROW((void)wh::partial::merge_partials(twice, spec.aggs, "jobs_agg"),
+               sc::InvalidArgument);
 }
 
 TEST(FederationFuzz, RollupServedShardsReportAndMatch) {
@@ -556,6 +687,80 @@ TEST(FederationService, AllowPartialFalseFailsClosed) {
                sc::IoError);
 }
 
+TEST(FederationService, MetricsCountFoldLevelsAndBytes) {
+  EnabledGuard guard;
+  const Fed f = make_fed(cluster_slices(fuzz_jobs()), /*rollups=*/true);
+  sv::ServiceConfig cfg;
+  cfg.workers = 1;
+  sv::Service svc(cfg);
+  svc.bind_remote(f.federation);
+  auto s = svc.session("fed-test");
+  ASSERT_EQ(s.run("query jobs group user agg count()")->status, sv::Status::kOk);
+  ASSERT_EQ(s.run("query jobs group cluster agg count()")->status, sv::Status::kOk);
+  ASSERT_EQ(s.run("query jobs where cluster = \"c1\" group user agg count()")->status,
+            sv::Status::kOk);
+
+  const sv::ServiceMetrics m = svc.metrics();
+  // shard1 answered all three: tuple totals, then group totals twice (a
+  // cluster key, then as the only shard contacted); the others were pruned
+  // from the third query.
+  const auto& c1 = m.shards.at("shard1");
+  EXPECT_EQ(c1.ok, 3u);
+  EXPECT_EQ(c1.levels, (std::array<std::uint64_t, 3>{0, 1, 2}));
+  EXPECT_GT(c1.bytes, 0u);
+  const auto& c0 = m.shards.at("shard0");
+  EXPECT_EQ(c0.pruned, 1u);
+  EXPECT_EQ(c0.levels, (std::array<std::uint64_t, 3>{0, 1, 1}));
+  const std::string json = svc.metrics_json();
+  EXPECT_NE(json.find("\"levels\":{\"days\":0,\"tuples\":1,\"groups\":2},\"bytes\":" +
+                      std::to_string(c1.bytes)),
+            std::string::npos)
+      << json;
+}
+
+TEST(FederationService, CatalogThatHidesAClusterFailsClosed) {
+  EnabledGuard guard;
+  // c1 is spread over both shards by (cluster, day) cells, but shard0's
+  // catalog entry lists only c0. The planner then believes each shard owns
+  // its clusters and asks both to fold; the merge sees the same c1 tuple
+  // (or group) folded twice and must refuse rather than double-count.
+  std::vector<std::vector<etl::JobSummary>> slices(2);
+  for (const auto& j : fuzz_jobs()) {
+    const bool first = j.cluster == "c0" ||
+                       (j.cluster == "c1" && wh::end_day_index(j.end) % 2 == 0);
+    slices[first ? 0 : 1].push_back(j);
+  }
+  for (const bool rollups : {false, true}) {
+    std::vector<std::unique_ptr<fed::ShardExecutor>> executors;
+    auto federation = std::make_shared<fed::Federation>();
+    for (std::size_t i = 0; i < 2; ++i) {
+      fed::ShardExecutor::Options opts;
+      opts.rollups = rollups;
+      executors.push_back(std::make_unique<fed::ShardExecutor>(
+          "shard" + std::to_string(i), ar::jobs_table(slices[i]), opts));
+      fed::ShardInfo info = executors.back()->info();
+      if (i == 0) {
+        ASSERT_EQ(info.clusters.size(), 2u);
+        info.clusters = {"c0"};
+      }
+      federation->add_shard(info, std::make_shared<fed::LoopbackTransport>(*executors.back()));
+    }
+    sv::ServiceConfig cfg;
+    cfg.workers = 1;
+    sv::Service svc(cfg);
+    svc.bind_remote(federation);
+    auto s = svc.session("fed-test");
+    for (const char* text : {"query jobs group user agg count(), sum(node_hours)",
+                             "query jobs group cluster agg count(), sum(node_hours)",
+                             "query jobs group cluster, week agg max(node_hours)"}) {
+      const sv::ResponsePtr r = s.run(text);
+      EXPECT_EQ(r->status, sv::Status::kError) << text;
+      EXPECT_EQ(r->table, nullptr) << text;
+      EXPECT_NE(r->error.find("reported"), std::string::npos) << r->error;
+    }
+  }
+}
+
 TEST(FederationService, PurelyFederatedServiceAdmitsQueries) {
   const auto slices = tk::split_jobs_for_shards(fuzz_jobs(), 2, 23);
   const Fed f = make_fed(slices, /*rollups=*/false);
@@ -725,8 +930,9 @@ TEST(FederationWire, ServeRejectsMalformedRequestsWithoutCrashing) {
 
   // Version mismatch: bump the version field and re-seal the CRC, so the
   // *version check itself* rejects the frame.
+  constexpr std::uint16_t kPeerVersion = wire::kProtocolVersion + 1;
   std::string vbump = good;
-  vbump[4] = 2;
+  vbump[4] = static_cast<char>(kPeerVersion);
   {
     std::uint32_t len32 = 0;
     std::memcpy(&len32, vbump.data() + 8, 4);
@@ -743,7 +949,8 @@ TEST(FederationWire, ServeRejectsMalformedRequestsWithoutCrashing) {
     ASSERT_EQ(body.type, wire::MsgType::kError);
     const wire::ErrorMsg err = wire::unpack_error(body.payload);
     EXPECT_NE(err.message.find("version mismatch"), std::string::npos) << err.message;
-    EXPECT_NE(err.message.find("peer 2"), std::string::npos) << err.message;
+    EXPECT_NE(err.message.find("peer " + std::to_string(kPeerVersion)), std::string::npos)
+        << err.message;
   }
 
   // Bad magic.
@@ -827,6 +1034,87 @@ TEST(FederationWire, CorruptedResponsesAreSourcedPlannerErrors) {
   tp.states.resize(2);
   bad.partial.tuples = {tp};
   EXPECT_THROW((void)wire::unpack_partial(wire::pack_partial(bad)), sc::ParseError);
+}
+
+TEST(FederationWire, FoldLevelsRoundTripAndAreValidated) {
+  using wh::partial::Level;
+  sv::QuerySpec spec = parse_query("query jobs group user agg count()");
+  for (const Level level : {Level::kDays, Level::kTuples, Level::kGroups}) {
+    const wire::QueryMsg rt = wire::unpack_query(wire::pack_query({spec, 0, "job_id", level}));
+    EXPECT_EQ(rt.level, level);
+  }
+
+  // A group total: one day entry, no extra keys.
+  wire::PartialMsg p;
+  p.partial.naggs = 1;
+  p.partial.level = Level::kGroups;
+  p.partial.key_schema = {{"user", wh::ColType::kString}};
+  wh::partial::TuplePartial tp;
+  wh::partial::KeyValue kv;
+  kv.type = wh::ColType::kString;
+  kv.str = "u";
+  tp.group = {kv};
+  tp.rank = 3;
+  tp.days = {12};
+  tp.states.resize(1);
+  tp.states[0].n = 9;
+  p.partial.tuples = {tp};
+  const wire::PartialMsg prt = wire::unpack_partial(wire::pack_partial(p));
+  EXPECT_EQ(prt.partial.level, Level::kGroups);
+  ASSERT_EQ(prt.partial.tuples.size(), 1u);
+  EXPECT_EQ(prt.partial.tuples[0].days, (std::vector<std::int64_t>{12}));
+  EXPECT_EQ(prt.partial.tuples[0].states[0].n, 9);
+
+  // A level above groups, in either direction.
+  wire::QueryMsg bad_query{spec, 0, "job_id", static_cast<Level>(3)};
+  EXPECT_THROW((void)wire::unpack_query(wire::pack_query(bad_query)), sc::ParseError);
+  wire::PartialMsg bad_level = p;
+  bad_level.partial.level = static_cast<Level>(3);
+  EXPECT_THROW((void)wire::unpack_partial(wire::pack_partial(bad_level)), sc::ParseError);
+
+  // A folded tuple whose day list is not exactly one entry.
+  for (const Level level : {Level::kTuples, Level::kGroups}) {
+    wire::PartialMsg two_days = p;
+    two_days.partial.level = level;
+    two_days.partial.tuples[0].days = {12, 13};
+    two_days.partial.tuples[0].states.resize(2);
+    EXPECT_THROW((void)wire::unpack_partial(wire::pack_partial(two_days)), sc::ParseError);
+    wire::PartialMsg no_days = p;
+    no_days.partial.level = level;
+    no_days.partial.tuples[0].days.clear();
+    no_days.partial.tuples[0].states.clear();
+    EXPECT_THROW((void)wire::unpack_partial(wire::pack_partial(no_days)), sc::ParseError);
+  }
+
+  // A group total with extra keys; the same tuple is legal as a tuple total.
+  wire::PartialMsg extra = p;
+  extra.partial.tuples[0].extra = {kv};
+  EXPECT_THROW((void)wire::unpack_partial(wire::pack_partial(extra)), sc::ParseError);
+  extra.partial.level = Level::kTuples;
+  EXPECT_NO_THROW((void)wire::unpack_partial(wire::pack_partial(extra)));
+}
+
+TEST(FederationWire, CoordinatorRejectsAPartialFoldedPastItsLevel) {
+  // Under (cluster, day)-cell placement the coordinator asks for day cells;
+  // a shard that answers with group totals anyway would merge rows it does
+  // not own.
+  const auto slices = tk::split_jobs_for_shards(fuzz_jobs(), 2, 47);
+  const Fed f = make_fed(slices, /*rollups=*/false);
+  const sv::QuerySpec spec = parse_query("query jobs group user agg count()");
+  const fed::ShardExecutor& ex0 = *f.executors[0];
+  f.transports[0]->set_corrupt([&ex0, &spec](std::string& resp) {
+    resp = wire::frame(wire::MsgType::kHelloAck, wire::pack_hello_ack({"shard0"})) +
+           wire::frame(wire::MsgType::kPartial,
+                       wire::pack_partial(
+                           ex0.execute(spec, 0, "job_id", wh::partial::Level::kGroups)));
+  });
+  const sv::RemoteResult res = f.federation->run(spec);
+  EXPECT_FALSE(res.complete);
+  EXPECT_EQ(res.shards[0].outcome, sv::RemoteShardReport::Outcome::kError);
+  EXPECT_NE(res.shards[0].error.find("folded to groups"), std::string::npos)
+      << res.shards[0].error;
+  EXPECT_EQ(res.shards[1].outcome, sv::RemoteShardReport::Outcome::kOk);
+  EXPECT_EQ(res.shards[1].level, wh::partial::Level::kDays);
 }
 
 // ---------------------------------------------------------------------------
