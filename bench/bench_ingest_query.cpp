@@ -7,7 +7,8 @@
 // against a row-at-a-time reference (the pre-vectorization execution
 // strategy: per-row std::function predicate dispatch, string-concatenated
 // group keys) and the thread-scaling curve, writing both to
-// BENCH_query.json for cross-PR tracking.
+// BENCH_query.json for cross-PR tracking, together with the ETL layer
+// (flat raw decode MiB/s and the full pipeline at 1/2/4 threads).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -218,6 +219,54 @@ double time_median(int reps, Fn&& fn) {
   return times[times.size() / 2];
 }
 
+/// The ETL layer behind BENCH_query.json: raw MiB/s of the flat decode
+/// alone over the fixed micro-run file set, and of IngestPipeline::run over
+/// the same files at 1/2/4 threads.
+void record_etl(bench::BenchJson& json) {
+  const auto& run = micro_run();
+  constexpr int kReps = 5;
+  double bytes = 0;
+  for (const auto& f : run.files) bytes += static_cast<double>(f.content.size());
+  const double mib = bytes / (1024.0 * 1024.0);
+
+  const double t_parse = time_median(kReps, [&] {
+    for (const auto& f : run.files) {
+      auto parsed = taccstats::parse_raw(f.content);
+      benchmark::DoNotOptimize(parsed);
+    }
+  });
+  json.record("etl_parse")
+      .num("files", static_cast<double>(run.files.size()))
+      .num("raw_mib", mib)
+      .num("seconds", t_parse)
+      .num("raw_mib_per_s", mib / t_parse);
+  std::printf("[etl] parse %zu files (%.1f MiB): %.4f s (%.1f MiB/s)\n", run.files.size(), mib,
+              t_parse, mib / t_parse);
+
+  const auto science = etl::project_science_map(*run.population);
+  double t1 = 0.0;
+  for (const std::size_t threads : {1, 2, 4}) {
+    etl::IngestConfig cfg;
+    cfg.start = run.start;
+    cfg.span = run.span;
+    cfg.cluster = run.spec.name;
+    cfg.threads = threads;
+    const etl::IngestPipeline ingest(cfg);
+    const double t = time_median(kReps, [&] {
+      auto result = ingest.run(run.files, run.acct, run.lariat_records, run.catalogue, science);
+      benchmark::DoNotOptimize(result);
+    });
+    if (threads == 1) t1 = t;
+    json.record("etl_ingest")
+        .num("threads", static_cast<double>(threads))
+        .num("seconds", t)
+        .num("raw_mib_per_s", mib / t)
+        .num("speedup_vs_1thread", t1 / t);
+    std::printf("[etl] ingest %zu thread(s): %.4f s (%.1f MiB/s, %.2fx vs 1 thread)\n",
+                threads, t, mib / t, t1 / t);
+  }
+}
+
 /// The grouped-aggregation scaling study behind BENCH_query.json: legacy
 /// row-at-a-time engine vs the vectorized engine at 1/2/4/8 threads.
 void write_query_json() {
@@ -225,6 +274,7 @@ void write_query_json() {
   const double rows = static_cast<double>(table.rows());
   constexpr int kReps = 5;
   bench::BenchJson json("query");
+  record_etl(json);
 
   const double t_legacy = time_median(kReps, [&] {
     auto g = legacy_group_by(table, {});

@@ -588,9 +588,9 @@ AppendStats Archive::append(const etl::IngestConfig& cfg,
   // marks of jobs finishing there) lands in that file. Any samples it holds
   // beyond `upto` only influence the provisional last day, which the next
   // append rewrites, and buckets past the span, which ingest drops.
-  std::vector<taccstats::RawFile> window;
+  std::vector<const taccstats::RawFile*> window;
   for (const auto& f : files) {
-    if (f.day >= cutoff && f.day <= day_end) window.push_back(f);
+    if (f.day >= cutoff && f.day <= day_end) window.push_back(&f);
   }
 
   const etl::IngestPipeline pipeline(cfg);

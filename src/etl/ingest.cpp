@@ -17,8 +17,7 @@
 
 namespace supremm::etl {
 
-using taccstats::Sample;
-using taccstats::TypeRecord;
+using Header = taccstats::ParsedFile::Header;
 
 namespace {
 
@@ -112,6 +111,41 @@ struct ChunkResult {
   explicit ChunkResult(std::size_t buckets) : sys(buckets) {}
 };
 
+/// One sample of a host's timeline: its file's keys, its header (salvage
+/// repairs the time in place) and its index in the file.
+struct TimelineSample {
+  const PairKeys* keys;
+  Header* header;
+  std::uint32_t ix;
+};
+
+/// Exact sample equality, as the nested Sample's operator== would see it:
+/// header, then type names, device names and values record by record. The
+/// two samples may come from files with different dictionaries.
+bool same_sample(const TimelineSample& a, const TimelineSample& b) {
+  const Header& ha = *a.header;
+  const Header& hb = *b.header;
+  if (ha.time != hb.time || ha.job_id != hb.job_id || ha.mark != hb.mark) return false;
+  if (ha.record_end - ha.record_begin != hb.record_end - hb.record_begin) return false;
+  const taccstats::ParsedFile& fa = *a.keys->file;
+  const taccstats::ParsedFile& fb = *b.keys->file;
+  for (std::uint32_t k = 0; k < ha.record_end - ha.record_begin; ++k) {
+    const auto& ra = fa.records[ha.record_begin + k];
+    const auto& rb = fb.records[hb.record_begin + k];
+    if (fa.schemas[ra.schema].type != fb.schemas[rb.schema].type) return false;
+    if (ra.row_end - ra.row_begin != rb.row_end - rb.row_begin) return false;
+    for (std::uint32_t i = 0; i < ra.row_end - ra.row_begin; ++i) {
+      const auto& wa = fa.rows[ra.row_begin + i];
+      const auto& wb = fb.rows[rb.row_begin + i];
+      if (fa.devices[wa.device] != fb.devices[wb.device]) return false;
+      const auto va = fa.row_values(ra, wa);
+      const auto vb = fb.row_values(rb, wb);
+      if (!std::equal(va.begin(), va.end(), vb.begin(), vb.end())) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 std::unordered_map<std::string, std::string> project_science_map(
@@ -147,13 +181,25 @@ IngestResult IngestPipeline::run(
     const std::vector<lariat::LariatRecord>& lariat_records,
     const std::vector<facility::AppSignature>& catalogue,
     const std::unordered_map<std::string, std::string>& project_science) const {
+  std::vector<const taccstats::RawFile*> ptrs;
+  ptrs.reserve(files.size());
+  for (const auto& f : files) ptrs.push_back(&f);
+  return run(ptrs, acct, lariat_records, catalogue, project_science);
+}
+
+IngestResult IngestPipeline::run(
+    std::span<const taccstats::RawFile* const> files,
+    const std::vector<accounting::AccountingRecord>& acct,
+    const std::vector<lariat::LariatRecord>& lariat_records,
+    const std::vector<facility::AppSignature>& catalogue,
+    const std::unordered_map<std::string, std::string>& project_science) const {
   const bool salvage = config_.mode == IngestMode::kSalvage;
   const auto buckets =
       static_cast<std::size_t>((config_.span + config_.bucket - 1) / config_.bucket);
 
   // Group files by host, ordered by day.
   std::map<std::string, std::vector<const taccstats::RawFile*>> by_host;
-  for (const auto& f : files) by_host[f.hostname].push_back(&f);
+  for (const taccstats::RawFile* f : files) by_host[f->hostname].push_back(f);
   for (auto& [host, fs] : by_host) {
     std::sort(fs.begin(), fs.end(), [](const taccstats::RawFile* a,
                                        const taccstats::RawFile* b) { return a->day < b->day; });
@@ -211,22 +257,25 @@ IngestResult IngestPipeline::run(
 
     std::string perf_type;
     for (const auto& pf : parsed_files) {
-      if (!perf_type.empty()) break;
-      for (const auto& s : pf.schemas.all()) {
-        if (s.type == "amd64_pmc" || s.type == "intel_wtm") perf_type = s.type;
-      }
+      if (perf_type.empty()) perf_type = committed_perf_type(pf);
     }
+    std::vector<PairKeys> keys;
+    keys.reserve(parsed_files.size());
+    for (const auto& pf : parsed_files) keys.emplace_back(pf, perf_type);
 
     // The host's sample timeline, files concatenated in day order.
-    std::vector<Sample*> seq;
-    for (auto& pf : parsed_files) {
-      for (auto& s : pf.samples) seq.push_back(&s);
+    std::vector<TimelineSample> seq;
+    for (std::size_t f = 0; f < parsed_files.size(); ++f) {
+      auto& samples = parsed_files[f].samples;
+      for (std::size_t i = 0; i < samples.size(); ++i) {
+        seq.push_back({&keys[f], &samples[i], static_cast<std::uint32_t>(i)});
+      }
     }
 
     if (salvage) {
       // Out-of-order detection before any repair: count time descents.
       for (std::size_t i = 1; i < seq.size(); ++i) {
-        if (seq[i]->time < seq[i - 1]->time) ++hq.reordered;
+        if (seq[i].header->time < seq[i - 1].header->time) ++hq.reordered;
       }
       res.stats.reordered += hq.reordered;
 
@@ -235,17 +284,17 @@ IngestResult IngestPipeline::run(
       // start times is this host's clock error. Correct it so cross-host
       // bucket attribution lines up again.
       std::vector<std::int64_t> diffs;
-      for (const Sample* s : seq) {
-        if (s->mark != taccstats::SampleMark::kJobBegin) continue;
-        if (const auto it = acct_start.find(s->job_id); it != acct_start.end()) {
-          diffs.push_back(s->time - it->second);
+      for (const TimelineSample& s : seq) {
+        if (s.header->mark != taccstats::SampleMark::kJobBegin) continue;
+        if (const auto it = acct_start.find(s.header->job_id); it != acct_start.end()) {
+          diffs.push_back(s.header->time - it->second);
         }
       }
       if (!diffs.empty()) {
         std::sort(diffs.begin(), diffs.end());
         const std::int64_t skew = diffs[(diffs.size() - 1) / 2];
         if (skew != 0) {
-          for (Sample* s : seq) s->time -= skew;
+          for (TimelineSample& s : seq) s.header->time -= skew;
           hq.clock_skew_s = skew;
           ++res.stats.hosts_skewed;
         }
@@ -253,11 +302,13 @@ IngestResult IngestPipeline::run(
 
       // Re-sort (stable: a no-op on clean data) and drop exact duplicates.
       std::stable_sort(seq.begin(), seq.end(),
-                       [](const Sample* a, const Sample* b) { return a->time < b->time; });
-      std::vector<Sample*> uniq;
+                       [](const TimelineSample& a, const TimelineSample& b) {
+                         return a.header->time < b.header->time;
+                       });
+      std::vector<TimelineSample> uniq;
       uniq.reserve(seq.size());
-      for (Sample* s : seq) {
-        if (!uniq.empty() && *s == *uniq.back()) {
+      for (const TimelineSample& s : seq) {
+        if (!uniq.empty() && same_sample(s, uniq.back())) {
           ++hq.duplicates_dropped;
           continue;
         }
@@ -273,7 +324,7 @@ IngestResult IngestPipeline::run(
       std::map<facility::JobId, std::pair<bool, bool>> marks;  // begin, end
       std::map<facility::JobId, std::size_t> last_ix;
       for (std::size_t i = 0; i < seq.size(); ++i) {
-        const Sample* s = seq[i];
+        const Header* s = seq[i].header;
         if (s->job_id == 0) continue;
         if (s->mark == taccstats::SampleMark::kJobBegin) marks[s->job_id].first = true;
         if (s->mark == taccstats::SampleMark::kJobEnd) marks[s->job_id].second = true;
@@ -285,10 +336,12 @@ IngestResult IngestPipeline::run(
       res.stats.missing_job_end += hq.missing_job_end;
     }
 
-    const Sample* prev = nullptr;
+    const Header* prev = nullptr;
+    PairSample prev_view;
     std::set<facility::JobId> jobs_touched;
-    for (const Sample* sp : seq) {
-      const Sample& sample = *sp;
+    for (const TimelineSample& ts : seq) {
+      const Header& sample = *ts.header;
+      const PairSample view(*ts.keys, ts.ix);
       ++res.stats.samples;
       ++hq.samples;
       if (prev != nullptr && sample.time - prev->time > max_gap) {
@@ -296,7 +349,7 @@ IngestResult IngestPipeline::run(
         ++res.stats.gaps_skipped;
       } else if (prev != nullptr) {
         PairData pd;
-        if (extract_pair(*prev, sample, perf_type, pd, pair_policy)) {
+        if (extract_pair(prev_view, view, pd, pair_policy)) {
           ++res.stats.pairs;
           ++hq.pairs;
           hq.covered_s += pd.dt;
@@ -366,7 +419,8 @@ IngestResult IngestPipeline::run(
           }
         }
       }
-      prev = sp;
+      prev = ts.header;
+      prev_view = view;
     }
     for (const facility::JobId id : jobs_touched) ++res.jobs[id].hosts;
     res.quality.push_back(std::move(hq));

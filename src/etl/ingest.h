@@ -6,6 +6,12 @@
 // node-hour weighted job summaries are produced and loaded into the
 // warehouse, and node data is aggregated into system-level metrics.
 //
+// Each raw file is decoded once, flat (taccstats/reader.h); a host's type
+// indices and device ids are resolved once per file (etl/pair.h) and its
+// samples are paired by index, so no nested Sample is built. The salvage
+// repairs (skew, re-sort, dedup, lost end marks) run on the sample headers
+// in place.
+//
 // Parallelism: hosts are partitioned into fixed-size chunks processed by a
 // thread pool; chunk partials are merged in chunk order, so the result is
 // bit-identical for any thread count.
@@ -22,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -102,6 +109,16 @@ class IngestPipeline {
   /// field (span, bucket, hosts_per_chunk, min_job_seconds, max_pair_gap).
   explicit IngestPipeline(IngestConfig config);
 
+  /// Ingest `files` (any order: they are grouped by host and sorted by
+  /// day). The contents are read in place, never copied.
+  [[nodiscard]] IngestResult run(
+      std::span<const taccstats::RawFile* const> files,
+      const std::vector<accounting::AccountingRecord>& acct,
+      const std::vector<lariat::LariatRecord>& lariat_records,
+      const std::vector<facility::AppSignature>& catalogue,
+      const std::unordered_map<std::string, std::string>& project_science) const;
+
+  /// The same over a vector of files.
   [[nodiscard]] IngestResult run(
       const std::vector<taccstats::RawFile>& files,
       const std::vector<accounting::AccountingRecord>& acct,

@@ -31,24 +31,34 @@ std::vector<TracePoint> extract_job_trace(const std::vector<taccstats::RawFile>&
   for (auto& [host, fs] : by_host) {
     std::sort(fs.begin(), fs.end(), [](const taccstats::RawFile* a,
                                        const taccstats::RawFile* b) { return a->day < b->day; });
+    // Every file of the host stays parsed: a pair can span two files.
+    std::vector<taccstats::ParsedFile> parsed;
+    std::vector<PairKeys> keys;
+    parsed.reserve(fs.size());
+    keys.reserve(fs.size());
     std::string perf_type;
-    bool have_prev = false;
-    taccstats::Sample prev;
-    bool host_touches_job = false;
+    PairSample prev;
+    std::size_t prev_file = 0;
+    std::size_t prev_ix = 0;
+    std::int64_t prev_job = 0;
     for (const auto* file : fs) {
-      // Cheap reject: skip hosts whose text never mentions the job id...
-      // parsing is still needed host-by-host for pairs, so just parse.
-      const auto parsed = taccstats::parse_raw(file->content);
+      const taccstats::ParsedFile& pf = parsed.emplace_back(taccstats::parse_raw(file->content));
       if (perf_type.empty()) {
-        for (const auto& s : parsed.schemas.all()) {
-          if (s.type == "amd64_pmc" || s.type == "intel_wtm") perf_type = s.type;
+        perf_type = committed_perf_type(pf);
+        if (!perf_type.empty() && prev.keys != nullptr) {
+          // A pair reads the perf type known when it is extracted, and the
+          // previous sample's keys predate it.
+          keys[prev_file] = PairKeys(parsed[prev_file], perf_type);
+          prev = PairSample(keys[prev_file], prev_ix);
         }
       }
-      for (const auto& sample : parsed.samples) {
-        if (have_prev && prev.job_id == id && sample.job_id == id) {
+      const PairKeys& k = keys.emplace_back(pf, perf_type);
+      for (std::size_t i = 0; i < pf.samples.size(); ++i) {
+        const PairSample sample(k, i);
+        const std::int64_t job = pf.samples[i].job_id;
+        if (prev.keys != nullptr && prev_job == id && job == id) {
           PairData pd;
-          if (extract_pair(prev, sample, perf_type, pd)) {
-            host_touches_job = true;
+          if (extract_pair(prev, sample, pd)) {
             const common::TimePoint key = (prev.time / interval) * interval;
             Accum& a = buckets[key];
             a.dt += pd.dt;
@@ -68,10 +78,11 @@ std::vector<TracePoint> extract_job_trace(const std::vector<taccstats::RawFile>&
           }
         }
         prev = sample;
-        have_prev = true;
+        prev_file = keys.size() - 1;
+        prev_ix = i;
+        prev_job = job;
       }
     }
-    (void)host_touches_job;
   }
 
   std::vector<TracePoint> out;

@@ -183,12 +183,22 @@ std::uint64_t file_ix(const RawFile& f) {
                             common::splitmix64(static_cast<std::uint64_t>(f.day)));
 }
 
-std::string serialize_parsed(const ParsedFile& pf) {
-  const taccstats::RawWriter writer(pf.hostname, pf.schemas);
-  std::string out = writer.header();
-  for (const auto& s : pf.samples) writer.append_sample(s, out);
-  return out;
-}
+/// One raw file in the nested form the counter-glitch faults edit.
+struct NestedFile {
+  std::string hostname;
+  taccstats::SchemaRegistry schemas;
+  std::vector<Sample> samples;
+
+  explicit NestedFile(const ParsedFile& pf)
+      : hostname(pf.hostname), schemas(pf.registry()), samples(taccstats::to_samples(pf)) {}
+
+  [[nodiscard]] std::string serialize() const {
+    const taccstats::RawWriter writer(hostname, schemas);
+    std::string out = writer.header();
+    for (const auto& s : samples) writer.append_sample(s, out);
+    return out;
+  }
+};
 
 /// Cut the file mid-row: everything from the cut point on is lost and the
 /// partial row salvages as exactly one short-row quarantine.
@@ -376,14 +386,14 @@ void garbage_lines(RawFile& file, RngStream& rng, double magnitude, InjectionRep
 
 /// Host-wide parsed view used by the counter-glitch faults.
 struct HostSamples {
-  std::vector<ParsedFile> files;
+  std::vector<NestedFile> files;
   std::vector<Sample*> seq;  // all samples, day order
 };
 
 HostSamples parse_host(const std::vector<RawFile*>& host_files) {
   HostSamples hs;
   hs.files.reserve(host_files.size());
-  for (const RawFile* f : host_files) hs.files.push_back(taccstats::parse_raw(f->content));
+  for (const RawFile* f : host_files) hs.files.emplace_back(taccstats::parse_raw(f->content));
   for (auto& pf : hs.files) {
     for (auto& s : pf.samples) hs.seq.push_back(&s);
   }
@@ -575,7 +585,7 @@ InjectionReport FaultInjector::apply(std::vector<RawFile>& files,
       if (want_roll) touched = inject_rollover(hs, roll_rng, rep) || touched;
       if (touched) {
         for (std::size_t i = 0; i < fs.size(); ++i) {
-          fs[i]->content = serialize_parsed(hs.files[i]);
+          fs[i]->content = hs.files[i].serialize();
         }
       }
     }

@@ -2,8 +2,13 @@
 // plumbing and the warehouse loader - over a full (small) simulated run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string_view>
+#include <vector>
 
 #include "sim_fixture.h"
 
@@ -252,5 +257,232 @@ TEST(ToTable, SupportsWarehouseQueries) {
   EXPECT_GE(g.rows(), 3u);
   for (std::size_t r = 0; r < g.rows(); ++r) {
     EXPECT_GT(g.col("mem").as_double(r), 0.0);
+  }
+}
+
+// --- pinned output bits -----------------------------------------------------
+//
+// The suites above check self-consistency (strict == salvage on clean data,
+// equal results across thread counts, append == from-scratch); a change that
+// moved every bit the same way would pass them all. These digests pin the
+// exact bits of the ETL's output on the shared fixture: every JobSummary
+// field, every series vector, IngestStats, the per-host quality rows and
+// quarantines, and two job traces. Doubles are hashed by bit pattern.
+
+namespace {
+
+/// FNV-1a 64 over a typed byte stream; strings carry their length.
+class Digest {
+ public:
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
+  }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void str(std::string_view s) {
+    u64(s.size());
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+  }
+  void f64s(const std::vector<double>& v) {
+    u64(v.size());
+    for (const double d : v) f64(d);
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(unsigned char c) { h_ = (h_ ^ c) * 0x100000001b3ULL; }
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t jobs_digest(const std::vector<etl::JobSummary>& jobs) {
+  Digest d;
+  d.u64(jobs.size());
+  for (const auto& j : jobs) {
+    d.i64(j.id);
+    d.str(j.user);
+    d.str(j.app);
+    d.str(j.science);
+    d.str(j.project);
+    d.str(j.cluster);
+    d.i64(j.submit);
+    d.i64(j.start);
+    d.i64(j.end);
+    d.u64(j.nodes);
+    d.u64(j.cores);
+    d.f64(j.node_hours);
+    d.i64(j.exit_status);
+    d.i64(j.failed);
+    d.u64(j.samples);
+    d.u64(j.reconciled ? 1 : 0);
+    d.f64(j.cpu_idle);
+    d.f64(j.cpu_flops_gf_node);
+    d.u64(j.flops_valid ? 1 : 0);
+    d.f64(j.mem_used_gb);
+    d.f64(j.mem_used_max_gb);
+    d.f64(j.io_scratch_write_mb_s);
+    d.f64(j.io_work_write_mb_s);
+    d.f64(j.net_ib_tx_mb_s);
+    d.f64(j.net_lnet_tx_mb_s);
+    d.f64(j.cpu_user);
+    d.f64(j.cpu_system);
+    d.f64(j.io_scratch_read_mb_s);
+    d.f64(j.net_ib_rx_mb_s);
+    d.f64(j.net_lnet_rx_mb_s);
+    d.f64(j.swap_mb_s);
+    d.f64(j.load_mean);
+  }
+  return d.value();
+}
+
+std::uint64_t series_digest(const etl::SystemSeries& s) {
+  Digest d;
+  d.i64(s.start);
+  d.i64(s.bucket);
+  d.u64(s.buckets);
+  for (const auto* v : {&s.active_nodes, &s.up_nodes, &s.flops_tf, &s.mem_gb_per_node,
+                        &s.cpu_user_core_h, &s.cpu_idle_core_h, &s.cpu_system_core_h,
+                        &s.scratch_write_mb_s, &s.scratch_read_mb_s, &s.work_write_mb_s,
+                        &s.share_mb_s, &s.ib_tx_mb_s, &s.lnet_tx_mb_s, &s.cpu_idle_frac}) {
+    d.f64s(*v);
+  }
+  return d.value();
+}
+
+std::uint64_t stats_digest(const etl::IngestStats& s) {
+  Digest d;
+  for (const std::uint64_t v :
+       {s.bytes, s.files, s.samples, s.pairs, s.gaps_skipped, s.jobs_seen, s.jobs_excluded,
+        s.quarantined, s.duplicates_dropped, s.reordered, s.resets_clamped,
+        s.rollovers_corrected, s.missing_job_end, s.missing_acct, s.missing_lariat,
+        s.jobs_reconciled, s.hosts_skewed}) {
+    d.u64(v);
+  }
+  return d.value();
+}
+
+std::uint64_t quality_digest(const etl::DataQualityReport& q) {
+  Digest d;
+  d.i64(q.span);
+  d.u64(q.hosts.size());
+  for (const auto& h : q.hosts) {
+    d.str(h.host);
+    for (const std::uint64_t v : {h.files, h.samples, h.pairs, h.quarantined,
+                                  h.duplicates_dropped, h.reordered, h.resets, h.rollovers,
+                                  h.missing_job_end}) {
+      d.u64(v);
+    }
+    d.i64(h.clock_skew_s);
+    d.f64(h.covered_s);
+  }
+  d.u64(q.quarantines.size());
+  for (const auto& x : q.quarantines) {
+    d.str(x.source);
+    d.u64(x.line);
+    d.u64(static_cast<std::uint64_t>(x.reason));
+    d.str(x.detail);
+  }
+  d.u64(q.corrupt_partitions.size());
+  return d.value();
+}
+
+std::uint64_t trace_digest(const std::vector<etl::TracePoint>& trace) {
+  Digest d;
+  d.u64(trace.size());
+  for (const auto& p : trace) {
+    d.i64(p.t);
+    d.f64(p.dt);
+    d.u64(p.nodes);
+    d.f64(p.cpu_idle);
+    d.f64(p.cpu_user);
+    d.f64(p.flops_gf_node);
+    d.u64(p.flops_valid ? 1 : 0);
+    d.f64(p.mem_gb_node);
+    d.f64(p.scratch_write_mb_s);
+    d.f64(p.work_write_mb_s);
+    d.f64(p.ib_tx_mb_s);
+    d.f64(p.lnet_tx_mb_s);
+  }
+  return d.value();
+}
+
+struct Pinned {
+  std::uint64_t jobs, series, stats, quality;
+};
+
+etl::IngestResult ingest_fixture(const std::vector<supremm::taccstats::RawFile>& files,
+                                 const std::vector<supremm::accounting::AccountingRecord>& acct,
+                                 const std::vector<supremm::lariat::LariatRecord>& lrt,
+                                 etl::IngestMode mode, std::size_t threads) {
+  const auto& run = small_ranger_run();
+  etl::IngestConfig cfg;
+  cfg.start = run.start;
+  cfg.span = run.span;
+  cfg.cluster = run.spec.name;
+  cfg.threads = threads;
+  cfg.mode = mode;
+  return etl::IngestPipeline(cfg).run(files, acct, lrt, run.catalogue,
+                                      etl::project_science_map(*run.population));
+}
+
+void expect_pinned(const etl::IngestResult& r, const Pinned& want) {
+  EXPECT_EQ(jobs_digest(r.jobs), want.jobs) << std::hex << "jobs 0x" << jobs_digest(r.jobs);
+  EXPECT_EQ(series_digest(r.series), want.series)
+      << std::hex << "series 0x" << series_digest(r.series);
+  EXPECT_EQ(stats_digest(r.stats), want.stats)
+      << std::hex << "stats 0x" << stats_digest(r.stats);
+  EXPECT_EQ(quality_digest(r.quality), want.quality)
+      << std::hex << "quality 0x" << quality_digest(r.quality);
+}
+
+// Recorded from the ETL before the flat raw decode replaced the nested one.
+constexpr Pinned kStrictBits{0xdbdeb22a9e6ec0e7ULL, 0x20a6b1c2c9196b97ULL,
+                               0xc6f680d426680beeULL, 0x80edfe5961b504a4ULL};
+constexpr Pinned kChaosBits{0x65b52a009bbc2d89ULL, 0x7a4b10eb302a6ec2ULL,
+                              0xbe452b4d22514eb5ULL, 0xb1f0b713e47bc870ULL};
+constexpr std::uint64_t kTraceBits[2] = {0xf737f521e8fad7b5ULL, 0x62e55b95c1ef01ecULL};
+
+}  // namespace
+
+TEST(PinnedBits, StrictOneThread) {
+  const auto& run = small_ranger_run();
+  expect_pinned(ingest_fixture(run.files, run.acct, run.lariat_records,
+                               etl::IngestMode::kStrict, 1),
+                kStrictBits);
+}
+
+TEST(PinnedBits, StrictFourThreads) {
+  const auto& run = small_ranger_run();
+  expect_pinned(ingest_fixture(run.files, run.acct, run.lariat_records,
+                               etl::IngestMode::kStrict, 4),
+                kStrictBits);
+}
+
+TEST(PinnedBits, SalvageChaos) {
+  const auto& run = small_ranger_run();
+  auto files = run.files;
+  auto acct = run.acct;
+  auto lrt = run.lariat_records;
+  const auto plan = supremm::faultsim::FaultPlan::profile("chaos", 20130313);
+  (void)supremm::faultsim::FaultInjector(plan).apply(files, acct, lrt);
+  const auto r = ingest_fixture(files, acct, lrt, etl::IngestMode::kSalvage, 4);
+  EXPECT_GT(r.stats.quarantined, 0u);
+  expect_pinned(r, kChaosBits);
+}
+
+TEST(PinnedBits, JobTraces) {
+  const auto& run = small_ranger_run();
+  const auto& jobs = run.result.jobs;
+  ASSERT_GT(jobs.size(), 2u);
+  // The longest-sampled job and the median job by id.
+  const auto longest = std::max_element(
+      jobs.begin(), jobs.end(),
+      [](const etl::JobSummary& a, const etl::JobSummary& b) { return a.samples < b.samples; });
+  const fa::JobId ids[2] = {longest->id, jobs[jobs.size() / 2].id};
+  for (int i = 0; i < 2; ++i) {
+    const auto trace = etl::extract_job_trace(run.files, ids[i]);
+    EXPECT_FALSE(trace.empty()) << ids[i];
+    EXPECT_EQ(trace_digest(trace), kTraceBits[i])
+        << std::hex << "job " << std::dec << ids[i] << " trace 0x" << std::hex
+        << trace_digest(trace);
   }
 }

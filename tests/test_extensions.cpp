@@ -118,9 +118,9 @@ TEST(SarMode, NoJobTagsNoPerf) {
   const auto out = agent.run();
   std::string all;
   for (const auto& f : out.files) all += f.content;
-  const auto parsed = ts::parse_raw(all);
-  ASSERT_FALSE(parsed.samples.empty());
-  for (const auto& s : parsed.samples) {
+  const auto parsed = ts::to_samples(ts::parse_raw(all));
+  ASSERT_FALSE(parsed.empty());
+  for (const auto& s : parsed) {
     EXPECT_EQ(s.job_id, 0);                                // no job tag
     EXPECT_EQ(s.mark, ts::SampleMark::kPeriodic);          // no begin/end
     EXPECT_EQ(s.find("amd64_pmc"), nullptr);               // no PMC access

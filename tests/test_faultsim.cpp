@@ -457,13 +457,14 @@ const char* kTinyRaw =
 }  // namespace
 
 TEST(SalvageReader, CleanContentMatchesStrict) {
-  const auto strict = ts::parse_raw(kTinyRaw, "t1/day0");
+  const auto strict = ts::to_samples(ts::parse_raw(kTinyRaw, "t1/day0"));
   const auto sr = ts::parse_raw_salvage(kTinyRaw, "t1/day0");
   EXPECT_TRUE(sr.quarantined.empty());
   EXPECT_FALSE(sr.missing_magic);
-  ASSERT_EQ(sr.file.samples.size(), strict.samples.size());
-  EXPECT_TRUE(sr.file.samples[0] == strict.samples[0]);
-  EXPECT_TRUE(sr.file.samples[1] == strict.samples[1]);
+  const auto salvaged = ts::to_samples(sr.file);
+  ASSERT_EQ(salvaged.size(), strict.size());
+  EXPECT_TRUE(salvaged[0] == strict[0]);
+  EXPECT_TRUE(salvaged[1] == strict[1]);
   EXPECT_EQ(sr.file.hostname, "t1");
 }
 
@@ -480,18 +481,22 @@ TEST(SalvageReader, QuarantinesEveryDamageKindAndKeepsTheRest) {
       "cpu\n"                     // short row
       "cpu 0 100\n"               // field count mismatch
       "cpu 0 100 abc\n"           // bad value
+      "cpu 0 -1 200\n"            // bad value: counters are unsigned
+      "cpu 0 +5 200\n"            // bad value: no sign either way
+      "cpu 0 -0 200\n"            // bad value, even for zero
       "1600 42 bogus\n"           // bad sample header (unknown mark)
       "cpu 0 140 240\n"           // orphaned by the damaged header
       "2200 42 periodic\n"
       "cpu 0 150 260\n";
   const auto sr = ts::parse_raw_salvage(content, "t1/day0");
   // Both well-formed samples survive with their well-formed rows.
-  ASSERT_EQ(sr.file.samples.size(), 2u);
-  EXPECT_EQ(sr.file.samples[0].time, 1000);
-  EXPECT_EQ(sr.file.samples[1].time, 2200);
-  ASSERT_EQ(sr.file.samples[0].records.size(), 1u);
-  ASSERT_EQ(sr.file.samples[0].records[0].rows.size(), 1u);
-  EXPECT_EQ(sr.file.samples[0].records[0].rows[0].values[0], 100u);
+  const auto samples = ts::to_samples(sr.file);
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(samples[0].time, 1000);
+  EXPECT_EQ(samples[1].time, 2200);
+  ASSERT_EQ(samples[0].records.size(), 1u);
+  ASSERT_EQ(samples[0].records[0].rows.size(), 1u);
+  EXPECT_EQ(samples[0].records[0].rows[0].values[0], 100u);
 
   std::multiset<ts::QuarantineReason> reasons;
   for (const auto& q : sr.quarantined) {
@@ -505,10 +510,19 @@ TEST(SalvageReader, QuarantinesEveryDamageKindAndKeepsTheRest) {
   EXPECT_EQ(reasons.count(ts::QuarantineReason::kUndeclaredType), 1u);
   EXPECT_EQ(reasons.count(ts::QuarantineReason::kShortRow), 1u);
   EXPECT_EQ(reasons.count(ts::QuarantineReason::kFieldCountMismatch), 1u);
-  EXPECT_EQ(reasons.count(ts::QuarantineReason::kBadValue), 1u);
+  EXPECT_EQ(reasons.count(ts::QuarantineReason::kBadValue), 4u);
   EXPECT_EQ(reasons.count(ts::QuarantineReason::kBadSampleHeader), 1u);
   EXPECT_EQ(reasons.count(ts::QuarantineReason::kOrphanRow), 1u);
-  EXPECT_EQ(sr.quarantined.size(), 8u);
+  EXPECT_EQ(sr.quarantined.size(), 11u);
+  // The signed rows are lines 12-14; none of them reached the sample.
+  for (const std::size_t line : {12u, 13u, 14u}) {
+    EXPECT_TRUE(std::any_of(sr.quarantined.begin(), sr.quarantined.end(),
+                            [&](const ts::Quarantine& q) {
+                              return q.line == line &&
+                                     q.reason == ts::QuarantineReason::kBadValue;
+                            }))
+        << "line " << line;
+  }
 }
 
 TEST(SalvageReader, MissingMagicIsFlaggedNotFatal) {
@@ -532,6 +546,18 @@ TEST(SalvageReader, StrictErrorsCarrySourceAndLine) {
     FAIL() << "must throw";
   } catch (const supremm::ParseError& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+  }
+  // A signed counter is a non-numeric value, not a wrapped u64.
+  for (const char* value : {"-1", "+5", "-0"}) {
+    try {
+      (void)ts::parse_raw(std::string("$tacc_stats 2.0\n!cpu user;E idle;E\n1000 42 begin\n"
+                                      "cpu 0 ") + value + " 200\n",
+                          "c42-987/day7");
+      FAIL() << value << " must throw";
+    } catch (const supremm::ParseError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "parse error: c42-987/day7: row of type cpu has a non-numeric value (line 4)");
+    }
   }
 }
 

@@ -119,11 +119,11 @@ TEST_P(RawFormatFuzz, RandomSamplesRoundTrip) {
     originals.push_back(std::move(sample));
   }
 
-  const auto parsed = ts::parse_raw(content);
-  ASSERT_EQ(parsed.samples.size(), originals.size());
+  const auto parsed = ts::to_samples(ts::parse_raw(content));
+  ASSERT_EQ(parsed.size(), originals.size());
   for (std::size_t i = 0; i < originals.size(); ++i) {
     const auto& a = originals[i];
-    const auto& b = parsed.samples[i];
+    const auto& b = parsed[i];
     EXPECT_EQ(a.time, b.time);
     EXPECT_EQ(a.job_id, b.job_id);
     EXPECT_EQ(a.mark, b.mark);

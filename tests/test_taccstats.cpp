@@ -174,22 +174,23 @@ TEST(RawFormat, RoundTrip) {
   const ts::ParsedFile parsed = ts::parse_raw(content);
   EXPECT_EQ(parsed.hostname, "ls4-c0001");
   EXPECT_EQ(parsed.version, "2.0");
-  ASSERT_EQ(parsed.samples.size(), 2u);
-  EXPECT_EQ(parsed.samples[0].time, 3600);
-  EXPECT_EQ(parsed.samples[0].job_id, 17);
-  EXPECT_EQ(parsed.samples[0].mark, ts::SampleMark::kJobBegin);
-  EXPECT_EQ(parsed.samples[1].mark, ts::SampleMark::kPeriodic);
+  const auto samples = ts::to_samples(parsed);
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(samples[0].time, 3600);
+  EXPECT_EQ(samples[0].job_id, 17);
+  EXPECT_EQ(samples[0].mark, ts::SampleMark::kJobBegin);
+  EXPECT_EQ(samples[1].mark, ts::SampleMark::kPeriodic);
 
-  const auto* cpu0 = parsed.samples[0].find("cpu");
+  const auto* cpu0 = samples[0].find("cpu");
   ASSERT_NE(cpu0, nullptr);
   EXPECT_EQ(cpu0->rows[0].values[0], 77u);
-  const auto* cpu1 = parsed.samples[1].find("cpu");
+  const auto* cpu1 = samples[1].find("cpu");
   ASSERT_NE(cpu1, nullptr);
   EXPECT_EQ(cpu1->rows[0].values[0], 177u);
-  const auto* ib = parsed.samples[0].find("ib");
+  const auto* ib = samples[0].find("ib");
   ASSERT_NE(ib, nullptr);
   EXPECT_EQ(ib->rows[0].values[2], 1234567u);
-  EXPECT_TRUE(parsed.schemas.has("intel_wtm"));
+  EXPECT_TRUE(parsed.registry().has("intel_wtm"));
 }
 
 TEST(RawFormat, MarkNamesRoundTrip) {
@@ -255,10 +256,10 @@ TEST_F(AgentFixture, EmitsBeginPeriodicEnd) {
   ASSERT_FALSE(out.files.empty());
   std::string all;
   for (const auto& f : out.files) all += f.content;
-  const auto parsed = ts::parse_raw(all);
+  const auto parsed = ts::to_samples(ts::parse_raw(all));
 
   std::size_t begins = 0, ends = 0, periodics_in_job = 0;
-  for (const auto& s : parsed.samples) {
+  for (const auto& s : parsed) {
     if (s.mark == ts::SampleMark::kJobBegin) {
       ++begins;
       EXPECT_EQ(s.job_id, 1);
@@ -282,8 +283,8 @@ TEST_F(AgentFixture, ReprogramsCountersAtJobBegin) {
   const auto out = agent.run();
   std::string all;
   for (const auto& f : out.files) all += f.content;
-  const auto parsed = ts::parse_raw(all);
-  for (const auto& s : parsed.samples) {
+  const auto parsed = ts::to_samples(ts::parse_raw(all));
+  for (const auto& s : parsed) {
     if (s.mark != ts::SampleMark::kJobBegin) continue;
     const auto* pmc = s.find("amd64_pmc");
     ASSERT_NE(pmc, nullptr);
@@ -348,9 +349,9 @@ TEST(Agent, UserProgrammedJobLosesFlopsSlot) {
   const auto out = agent.run();
   std::string all;
   for (const auto& f : out.files) all += f.content;
-  const auto parsed = ts::parse_raw(all);
+  const auto parsed = ts::to_samples(ts::parse_raw(all));
   bool saw_custom = false;
-  for (const auto& s : parsed.samples) {
+  for (const auto& s : parsed) {
     if (s.mark == ts::SampleMark::kPeriodic && s.job_id == 1) {
       const auto* pmc = s.find("amd64_pmc");
       ASSERT_NE(pmc, nullptr);
@@ -371,14 +372,14 @@ TEST(Agent, NoSamplesDuringMaintenance) {
   const auto out = agent.run();
   std::string all;
   for (const auto& f : out.files) all += f.content;
-  const auto parsed = ts::parse_raw(all);
-  for (const auto& s : parsed.samples) {
+  const auto parsed = ts::to_samples(ts::parse_raw(all));
+  for (const auto& s : parsed) {
     EXPECT_FALSE(s.time > 6 * sc::kHour && s.time < 12 * sc::kHour)
         << "sample at " << s.time << " inside the outage";
   }
   // Rotation sample on recovery.
   bool saw_rotate_after = false;
-  for (const auto& s : parsed.samples) {
+  for (const auto& s : parsed) {
     if (s.mark == ts::SampleMark::kRotate && s.time == 12 * sc::kHour) {
       saw_rotate_after = true;
     }
