@@ -37,11 +37,14 @@ constexpr int kIterations = 25;  // passes over the query mix per leg
 constexpr std::size_t kShardCounts[] = {1, 2, 5};
 constexpr std::size_t kThreads = 8;
 
-/// The federated mix: facility-wide rollup shapes, per-dimension breakdowns,
-/// cluster- and time-filtered queries (the ones catalog pruning bites on),
-/// and raw-only shapes every shard must scan for.
+/// The federated mix: facility-wide rollup shapes (a daily series among
+/// them: under one shard per cluster every shard ships a tuple total per
+/// (day, user, app, cluster), the heaviest answer a portal asks for),
+/// per-dimension breakdowns, cluster- and time-filtered queries (the ones
+/// catalog pruning bites on), and raw-only shapes every shard must scan for.
 const std::vector<std::string>& query_mix() {
   static const std::vector<std::string> mix = {
+      "query jobs group day agg count(),sum(node_hours),max(mem_used_max_gb)",
       "query jobs group week agg count(),sum(node_hours)",
       "query jobs group user agg sum(node_hours),wmean(cpu_idle,node_hours)",
       "query jobs group cluster,month agg sum(node_hours),count()",

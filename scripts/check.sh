@@ -79,6 +79,9 @@ SUPREMM_ROLLUP=off ctest --test-dir "${BUILD_DIR}" -L federation --output-on-fai
 echo "== federation bench: merged scatter-gather bit-identity gate =="
 (cd "${BUILD_DIR}" && ./bench/bench_federation > /dev/null)
 
+echo "== federation bench, forced-off rollup leg: raw-scan shard partials =="
+(cd "${BUILD_DIR}" && SUPREMM_ROLLUP=off ./bench/bench_federation > /dev/null)
+
 echo "== bench-gate JSONs are checked in at the repo root =="
 for bench_json in BENCH_kernels.json BENCH_rollup.json BENCH_federation.json; do
   if [ ! -f "${bench_json}" ]; then

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <map>
 #include <vector>
 
 #include "archive/partition.h"
@@ -11,6 +10,7 @@
 #include "common/time.h"
 #include "common/error.h"
 #include "warehouse/aggstate.h"
+#include "warehouse/tuple_index.h"
 
 namespace supremm::federation {
 
@@ -128,34 +128,38 @@ wire::PartialMsg ShardExecutor::rollup_partial(const warehouse::rollup::Plan& pl
     agg_cols[a].wv = t.col(spec.column + "_wv").doubles().data();
   }
 
+  // Tuple key words straight from the level table: dim codes, bucket-key
+  // starts in seconds, then the dims that are not group keys.
   struct KeyView {
-    const warehouse::Column* col = nullptr;  // dim (codes + decode)
+    const warehouse::Column* col = nullptr;  // dim
+    const std::int32_t* codes = nullptr;     // dim
     std::int64_t grain = 0;                  // bucket key (days)
   };
   std::vector<KeyView> key_views;
+  const auto dim_view = [&t](const std::string& name) {
+    const warehouse::Column& c = t.col(name);
+    return KeyView{&c, c.codes().data(), 0};
+  };
   for (const std::string& k : plan.group_by) {
-    KeyView v;
-    if (const BucketKey* b = bucket_key(k)) {
-      v.grain = b->grain;
-    } else {
-      v.col = &t.col(k);
-    }
-    key_views.push_back(v);
+    const BucketKey* b = bucket_key(k);
+    key_views.push_back(b != nullptr ? KeyView{nullptr, nullptr, b->grain} : dim_view(k));
   }
-  std::vector<const warehouse::Column*> extra_cols;
   for (const char* d : kDims) {
     if (std::find(plan.group_by.begin(), plan.group_by.end(), d) == plan.group_by.end()) {
-      extra_cols.push_back(&t.col(d));
+      key_views.push_back(dim_view(d));
     }
   }
 
-  // Select cells and bucket them into tuples. Table order is (bucket ASC,
-  // min_jobid ASC), so each tuple's bucket list comes out ascending.
-  using Key = std::vector<std::int64_t>;
-  std::map<Key, std::size_t> tuple_lookup;
-  std::size_t selected = 0;
+  // Select cells and key them into tuples. Table order is (bucket ASC,
+  // min_jobid ASC), so tuples form in first-seen order and each tuple's
+  // buckets come in ascending order.
+  const std::size_t width = key_views.size();
+  warehouse::TupleIndex index(width);
+  std::vector<std::uint64_t> key(width);
+  std::vector<std::uint32_t> cell_row;    // per selected cell
+  std::vector<std::uint32_t> cell_tuple;  // per selected cell
+  std::vector<std::uint32_t> entries;     // per tuple
   const std::size_t nrows = empty ? 0 : t.rows();
-  std::vector<warehouse::AggState> cell_states(naggs);
   for (std::size_t r = 0; r < nrows; ++r) {
     const std::int64_t b = bucket[r];
     if (plan.has_lo && b < plan.d_lo) continue;
@@ -168,66 +172,69 @@ wire::PartialMsg ShardExecutor::rollup_partial(const warehouse::rollup::Plan& pl
       }
     }
     if (!pass) continue;
-    ++selected;
-    Key key;
-    key.reserve(key_views.size() + extra_cols.size());
-    for (const KeyView& v : key_views) {
-      if (v.col != nullptr) {
-        key.push_back(v.col->codes().data()[r]);
-      } else {
-        key.push_back(warehouse::floor_div(b, v.grain) * v.grain * common::kDay);
-      }
+    for (std::size_t k = 0; k < width; ++k) {
+      const KeyView& v = key_views[k];
+      key[k] = v.codes != nullptr
+                   ? static_cast<std::uint32_t>(v.codes[r])
+                   : static_cast<std::uint64_t>(warehouse::floor_div(b, v.grain) * v.grain *
+                                                common::kDay);
     }
-    for (const warehouse::Column* c : extra_cols) key.push_back(c->codes().data()[r]);
+    const std::uint32_t tuple = index.insert(key.data());
+    if (tuple == entries.size()) {
+      entries.push_back(0);
+      p.rank.push_back(min_jid[r]);
+    }
+    p.rank[tuple] = std::min(p.rank[tuple], min_jid[r]);
+    ++entries[tuple];
+    cell_row.push_back(static_cast<std::uint32_t>(r));
+    cell_tuple.push_back(tuple);
+  }
 
-    const auto [it, inserted] = tuple_lookup.emplace(std::move(key), p.tuples.size());
-    if (inserted) {
-      warehouse::partial::TuplePartial tp;
-      tp.group.reserve(key_views.size());
-      for (std::size_t k = 0; k < key_views.size(); ++k) {
-        const KeyView& v = key_views[k];
-        warehouse::partial::KeyValue kv;
-        if (v.col != nullptr) {
-          kv.type = warehouse::ColType::kString;
-          kv.str = std::string(v.col->decode(v.col->codes().data()[r]));
-        } else {
-          kv.type = warehouse::ColType::kInt64;
-          kv.i64 = warehouse::floor_div(b, v.grain) * v.grain * common::kDay;
-        }
-        tp.group.push_back(std::move(kv));
-      }
-      tp.extra.reserve(extra_cols.size());
-      for (const warehouse::Column* c : extra_cols) {
-        warehouse::partial::KeyValue kv;
-        kv.type = warehouse::ColType::kString;
-        kv.str = std::string(c->decode(c->codes().data()[r]));
-        tp.extra.push_back(std::move(kv));
-      }
-      tp.rank = min_jid[r];
-      p.tuples.push_back(std::move(tp));
-    }
-    warehouse::partial::TuplePartial& tp = p.tuples[it->second];
-    tp.rank = std::min(tp.rank, min_jid[r]);
-    tp.days.push_back(b);
+  // Key columns: dims through their dictionaries, bucket starts as int64.
+  const std::size_t ntuples = entries.size();
+  for (std::size_t k = 0; k < width; ++k) {
+    std::vector<std::uint64_t> words(ntuples);
+    for (std::uint32_t i = 0; i < ntuples; ++i) words[i] = index.key(i)[k];
+    const warehouse::Column* dim = key_views[k].col;
+    (k < plan.group_by.size() ? p.group : p.extra)
+        .push_back(dim != nullptr
+                       ? warehouse::partial::key_column(*dim, std::move(words))
+                       : warehouse::partial::KeyColumn{warehouse::ColType::kInt64, {}, {},
+                                                       std::move(words)});
+  }
+
+  // Each tuple's cells, in bucket order: a stable counting scatter by tuple.
+  p.day_end.resize(ntuples);
+  std::vector<std::uint32_t> cursor(ntuples);
+  std::uint32_t at = 0;
+  for (std::size_t i = 0; i < ntuples; ++i) {
+    cursor[i] = at;
+    at += entries[i];
+    p.day_end[i] = at;
+  }
+  p.days.resize(cell_row.size());
+  p.states.resize(cell_row.size() * naggs);
+  for (std::size_t c = 0; c < cell_row.size(); ++c) {
+    const std::uint32_t r = cell_row[c];
+    const std::uint32_t e = cursor[cell_tuple[c]]++;
+    p.days[e] = bucket[r];
+    warehouse::AggState* s = p.states.data() + std::size_t{e} * naggs;
     for (std::size_t a = 0; a < naggs; ++a) {
-      warehouse::AggState& s = cell_states[a];
-      s = warehouse::AggState{};
-      s.n = rows_col[r];
+      s[a].n = rows_col[r];
       if (plan.aggs[a].kind != warehouse::AggKind::kCount) {
-        s.sum = agg_cols[a].sum[r];
-        s.mn = agg_cols[a].mn[r];
-        s.mx = agg_cols[a].mx[r];
+        s[a].sum = agg_cols[a].sum[r];
+        s[a].mn = agg_cols[a].mn[r];
+        s[a].mx = agg_cols[a].mx[r];
         if (plan.aggs[a].kind == warehouse::AggKind::kWeightedMean) {
-          s.wsum = node_hours_sum[r];
-          s.wvsum = agg_cols[a].wv[r];
+          s[a].wsum = node_hours_sum[r];
+          s[a].wvsum = agg_cols[a].wv[r];
         }
       }
-      tp.states.push_back(s);
     }
   }
 
   p.stats.rows_scanned = nrows;  // 0 on the dim-literal dictionary miss
-  p.stats.rows_matched = selected;
+  p.stats.rows_matched = cell_row.size();
   warehouse::partial::fold_to(p, level);
   return msg;
 }
@@ -281,10 +288,12 @@ std::string ShardExecutor::serve(std::string_view request) const {
       throw common::ParseError("wire: trailing bytes after query conversation");
     }
     const wire::QueryMsg msg = wire::unpack_query(query.payload);
-    const wire::PartialMsg out =
-        execute(msg.spec, msg.deadline_ms, msg.rank_column, msg.level);
-    return wire::frame(wire::MsgType::kHelloAck, wire::pack_hello_ack({name_})) +
-           wire::frame(wire::MsgType::kPartial, wire::pack_partial(out));
+    const std::string partial =
+        wire::pack_partial(execute(msg.spec, msg.deadline_ms, msg.rank_column, msg.level));
+    std::string response;
+    wire::append_frame(response, wire::MsgType::kHelloAck, wire::pack_hello_ack({name_}));
+    wire::append_frame(response, wire::MsgType::kPartial, partial);
+    return response;
   } catch (const common::Cancelled& e) {
     timeout = true;
     error = e.what();

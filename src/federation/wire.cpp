@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <type_traits>
 
 #include "common/checksum.h"
 #include "common/error.h"
@@ -23,6 +24,14 @@ void Reader::need(std::size_t n) const {
   if (remaining() < n) {
     throw common::ParseError("wire: truncated message (need " + std::to_string(n) + " bytes, " +
                              std::to_string(remaining()) + " left)");
+  }
+}
+
+void Reader::need_elements(std::size_t n, std::size_t size) const {
+  if (n > remaining() / size) {
+    throw common::ParseError("wire: truncated message (need " + std::to_string(n) + " x " +
+                             std::to_string(size) + " bytes, " + std::to_string(remaining()) +
+                             " left)");
   }
 }
 
@@ -112,61 +121,41 @@ warehouse::ColType col_type(std::uint8_t v) {
   return static_cast<warehouse::ColType>(v);
 }
 
-void put_key_value(Writer& w, const warehouse::partial::KeyValue& v) {
-  w.u8(static_cast<std::uint8_t>(v.type));
-  switch (v.type) {
-    case warehouse::ColType::kString:
-      w.str(v.str);
-      break;
-    case warehouse::ColType::kInt64:
-      w.i64(v.i64);
-      break;
-    case warehouse::ColType::kDouble:
-      w.u64(v.bits);
-      break;
+constexpr std::size_t kAggStateBytes = sizeof(warehouse::AggState);
+constexpr std::size_t kMaxKeyColumns = 64;
+static_assert(kAggStateBytes == 6 * 8 && std::is_trivially_copyable_v<warehouse::AggState>,
+              "AggState travels as its six 8-byte fields, in declaration order");
+static_assert(std::endian::native == std::endian::little,
+              "the wire copies arrays as little-endian bytes");
+
+void put_column(Writer& w, const warehouse::partial::KeyColumn& c) {
+  w.u8(static_cast<std::uint8_t>(c.type));
+  if (c.type == warehouse::ColType::kString) {
+    w.u32(static_cast<std::uint32_t>(c.dict.size()));
+    for (const std::string& s : c.dict) w.str(s);
+    w.array(std::span<const std::uint32_t>(c.codes));
+  } else {
+    w.array(std::span<const std::uint64_t>(c.words));
   }
 }
 
-warehouse::partial::KeyValue get_key_value(Reader& r) {
-  warehouse::partial::KeyValue v;
-  v.type = col_type(r.u8());
-  switch (v.type) {
-    case warehouse::ColType::kString:
-      v.str = r.str();
-      break;
-    case warehouse::ColType::kInt64:
-      v.i64 = r.i64();
-      break;
-    case warehouse::ColType::kDouble:
-      v.bits = r.u64();
-      break;
+/// Every count is checked against the bytes left before anything
+/// allocates: a dictionary entry takes at least its 4-byte length, and the
+/// code or word array must be there in full.
+warehouse::partial::KeyColumn get_column(Reader& r, std::size_t tuples) {
+  warehouse::partial::KeyColumn c;
+  c.type = col_type(r.u8());
+  if (c.type == warehouse::ColType::kString) {
+    const std::uint32_t ndict = r.u32();
+    r.check_count(ndict, 4);
+    c.dict.reserve(ndict);
+    for (std::uint32_t i = 0; i < ndict; ++i) c.dict.push_back(r.str());
+    r.array(c.codes, tuples);
+  } else {
+    r.array(c.words, tuples);
   }
-  return v;
+  return c;
 }
-
-void put_agg_state(Writer& w, const warehouse::AggState& s) {
-  w.f64(s.sum);
-  w.f64(s.wsum);
-  w.f64(s.wvsum);
-  w.f64(s.mn);
-  w.f64(s.mx);
-  w.i64(s.n);
-}
-
-warehouse::AggState get_agg_state(Reader& r) {
-  warehouse::AggState s;
-  s.sum = r.f64();
-  s.wsum = r.f64();
-  s.wvsum = r.f64();
-  s.mn = r.f64();
-  s.mx = r.f64();
-  s.n = r.i64();
-  return s;
-}
-
-constexpr std::size_t kAggStateBytes = 6 * 8;
-constexpr std::size_t kMinKeyValueBytes = 1 + 4;  // type + shortest payload (empty string)
-constexpr std::size_t kMinTupleBytes = 4 + 4 + 8 + 4;  // group/extra counts + rank + ndays
 
 }  // namespace
 
@@ -291,9 +280,20 @@ QueryMsg unpack_query(std::string_view payload) {
 // --- partial ---------------------------------------------------------------
 
 std::string pack_partial(const PartialMsg& m) {
-  Writer w;
-  w.u8(m.rollup_served ? 1 : 0);
   const auto& p = m.partial;
+  const std::size_t ntuples = p.tuples();
+  // Columns, ranks and offsets share the tuple count, states the day count;
+  // a partial whose arrays disagree on them has no v3 encoding.
+  bool sized = p.day_end.size() == ntuples && p.states.size() == p.days.size() * p.naggs;
+  for (const auto* cols : {&p.group, &p.extra}) {
+    for (const auto& c : *cols) sized = sized && c.size() == ntuples;
+  }
+  if (!sized) throw common::InvalidArgument("wire: partial arrays disagree on their sizes");
+
+  Writer w;
+  w.reserve(64 + ntuples * (8 + 4 + 8 * (p.group.size() + p.extra.size())) +
+            p.days.size() * 8 + p.states.size() * kAggStateBytes);
+  w.u8(m.rollup_served ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(p.level));
   w.u64(p.stats.chunks_total);
   w.u64(p.stats.chunks_pruned);
@@ -305,17 +305,15 @@ std::string pack_partial(const PartialMsg& m) {
     w.u8(static_cast<std::uint8_t>(type));
   }
   w.u32(static_cast<std::uint32_t>(p.naggs));
-  w.u32(static_cast<std::uint32_t>(p.tuples.size()));
-  for (const auto& t : p.tuples) {
-    w.u32(static_cast<std::uint32_t>(t.group.size()));
-    for (const auto& v : t.group) put_key_value(w, v);
-    w.u32(static_cast<std::uint32_t>(t.extra.size()));
-    for (const auto& v : t.extra) put_key_value(w, v);
-    w.i64(t.rank);
-    w.u32(static_cast<std::uint32_t>(t.days.size()));
-    for (const std::int64_t d : t.days) w.i64(d);
-    for (const auto& s : t.states) put_agg_state(w, s);
-  }
+  w.u32(static_cast<std::uint32_t>(ntuples));
+  w.u32(static_cast<std::uint32_t>(p.extra.size()));
+  for (const auto& c : p.group) put_column(w, c);
+  for (const auto& c : p.extra) put_column(w, c);
+  w.array(std::span<const std::int64_t>(p.rank));
+  w.array(std::span<const std::uint32_t>(p.day_end));
+  w.u32(static_cast<std::uint32_t>(p.days.size()));
+  w.array(std::span<const std::int64_t>(p.days));
+  w.array(std::span<const warehouse::AggState>(p.states));
   return w.take();
 }
 
@@ -329,12 +327,16 @@ PartialMsg unpack_partial(std::string_view payload) {
   m.rollup_served = rollup == 1;
   auto& p = m.partial;
   p.level = fold_level(r.u8());
-  const bool folded = p.level != warehouse::partial::Level::kDays;
   p.stats.chunks_total = r.u64();
   p.stats.chunks_pruned = r.u64();
   p.stats.rows_scanned = r.u64();
   p.stats.rows_matched = r.u64();
+  // A key column costs far more in memory than its few bytes on the wire
+  // when there are no tuples, so key column counts are capped outright.
   const std::uint32_t nkeys = r.u32();
+  if (nkeys > kMaxKeyColumns) {
+    throw common::ParseError("wire: implausible key count " + std::to_string(nkeys));
+  }
   r.check_count(nkeys, 4 + 1);
   p.key_schema.reserve(nkeys);
   for (std::uint32_t i = 0; i < nkeys; ++i) {
@@ -342,71 +344,56 @@ PartialMsg unpack_partial(std::string_view payload) {
     p.key_schema.emplace_back(std::move(name), col_type(r.u8()));
   }
   p.naggs = r.u32();
-  // A tuple carries naggs states per day; an absurd naggs would let a small
+  // Each day entry carries naggs states; an absurd naggs would let a small
   // forged message demand huge allocations below.
   if (p.naggs > 64) {
     throw common::ParseError("wire: implausible aggregate count " + std::to_string(p.naggs));
   }
+  // A tuple takes at least its rank, its day-end offset, one day entry with
+  // its states and a 4-byte code per group column.
   const std::uint32_t ntuples = r.u32();
-  r.check_count(ntuples, kMinTupleBytes);
-  p.tuples.reserve(ntuples);
-  for (std::uint32_t i = 0; i < ntuples; ++i) {
-    warehouse::partial::TuplePartial t;
-    const std::uint32_t ngroup = r.u32();
-    if (ngroup != nkeys) {
-      throw common::ParseError("wire: tuple group width " + std::to_string(ngroup) +
-                               " != key schema width " + std::to_string(nkeys));
-    }
-    r.check_count(ngroup, kMinKeyValueBytes);
-    t.group.reserve(ngroup);
-    for (std::uint32_t k = 0; k < ngroup; ++k) t.group.push_back(get_key_value(r));
-    const std::uint32_t nextra = r.u32();
-    if (p.level == warehouse::partial::Level::kGroups && nextra != 0) {
-      throw common::ParseError("wire: group total carries " + std::to_string(nextra) +
-                               " extra keys");
-    }
-    r.check_count(nextra, kMinKeyValueBytes);
-    t.extra.reserve(nextra);
-    for (std::uint32_t k = 0; k < nextra; ++k) t.extra.push_back(get_key_value(r));
-    t.rank = r.i64();
-    const std::uint32_t ndays = r.u32();
-    if (ndays == 0 || (folded && ndays != 1)) {
-      throw common::ParseError("wire: " + std::string(warehouse::partial::to_string(p.level)) +
-                               "-level tuple carries " + std::to_string(ndays) + " day entries");
-    }
-    r.check_count(ndays, 8 + p.naggs * kAggStateBytes);
-    t.days.reserve(ndays);
-    for (std::uint32_t d = 0; d < ndays; ++d) t.days.push_back(r.i64());
-    for (std::uint32_t d = 1; d < ndays; ++d) {
-      if (t.days[d] <= t.days[d - 1]) {
-        throw common::ParseError("wire: tuple day list not strictly ascending");
-      }
-    }
-    t.states.reserve(std::size_t{ndays} * p.naggs);
-    for (std::size_t s = 0; s < std::size_t{ndays} * p.naggs; ++s) {
-      t.states.push_back(get_agg_state(r));
-    }
-    p.tuples.push_back(std::move(t));
+  r.check_count(ntuples, 8 + 4 + 8 + p.naggs * kAggStateBytes + 4 * std::size_t{nkeys});
+  const std::uint32_t nextra = r.u32();
+  if (nextra > kMaxKeyColumns - nkeys) {
+    throw common::ParseError("wire: implausible extra key count " + std::to_string(nextra));
   }
+  p.group.reserve(nkeys);
+  for (std::uint32_t k = 0; k < nkeys; ++k) p.group.push_back(get_column(r, ntuples));
+  p.extra.reserve(nextra);
+  for (std::uint32_t k = 0; k < nextra; ++k) p.extra.push_back(get_column(r, ntuples));
+  r.array(p.rank, ntuples);
+  r.array(p.day_end, ntuples);
+  const std::uint32_t ndays = r.u32();
+  r.check_count(ndays, 8 + p.naggs * kAggStateBytes);
+  r.array(p.days, ndays);
+  r.array(p.states, std::size_t{ndays} * p.naggs);
   r.expect_done();
+  if (auto e = warehouse::partial::shape_error(p)) throw common::ParseError("wire: " + *e);
   return m;
 }
 
 // --- framing ---------------------------------------------------------------
 
-std::string frame(MsgType type, std::string_view payload) {
+void append_frame(std::string& out, MsgType type, std::string_view payload) {
   if (payload.size() > kMaxPayload) {
     throw common::InvalidArgument("wire: payload exceeds frame cap");
   }
+  const std::size_t start = out.size();
+  out.reserve(start + kFrameHeaderBytes + payload.size() + 4);
   Writer w;
   w.u32(kMagic);
   w.u16(kProtocolVersion);
   w.u16(static_cast<std::uint16_t>(type));
   w.u32(static_cast<std::uint32_t>(payload.size()));
-  std::string out = w.take();
+  out.append(w.data());
   out.append(payload);
-  const std::uint32_t crc = common::crc32(out);
+  const std::uint32_t crc = common::crc32(std::string_view(out).substr(start));
   out.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+}
+
+std::string frame(MsgType type, std::string_view payload) {
+  std::string out;
+  append_frame(out, type, payload);
   return out;
 }
 

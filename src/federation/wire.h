@@ -20,8 +20,21 @@
 //
 // Protocol v2 added the fold levels: the coordinator requests how far the
 // shard may fold its partial (day cells, tuple totals or group totals), and
-// the partial states the level it was folded to. The decoder checks that a
-// folded partial has the shape its level promises.
+// the partial states the level it was folded to. Protocol v3 ships the
+// columnar partial (warehouse/partial.h) as whole arrays:
+//
+//   u8 rollup_served, u8 level, u64 x4 stats
+//   u32 nkeys, {str name, u8 type} x nkeys, u32 naggs
+//   u32 ntuples, u32 nextra
+//   column x (nkeys + nextra): u8 type, then
+//       string:        u32 ndict, str x ndict, u32 code x ntuples
+//       int64/double:  u64 word x ntuples
+//   i64 rank x ntuples, u32 day_end x ntuples
+//   u32 ndays, i64 day x ndays, AggState x (ndays * naggs)
+//
+// where an AggState is its six 8-byte fields (sum, wsum, wvsum, mn, mx, n).
+// Every count is checked against the bytes left before anything is
+// allocated, and a decoded partial must pass partial::shape_error.
 //
 // Every decode path is bounds-checked and enum-validated: truncated input,
 // forged CRCs, implausible counts and out-of-range enums all surface as
@@ -31,8 +44,11 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "service/request.h"
 #include "warehouse/partial.h"
@@ -40,7 +56,7 @@
 namespace supremm::federation::wire {
 
 inline constexpr std::uint32_t kMagic = 0x53555046u;  // "SUPF"
-inline constexpr std::uint16_t kProtocolVersion = 2;
+inline constexpr std::uint16_t kProtocolVersion = 3;
 inline constexpr std::uint32_t kMaxPayload = 1u << 28;
 inline constexpr std::size_t kFrameHeaderBytes = 12;  // magic+version+type+len
 
@@ -62,6 +78,13 @@ class Writer {
   void i64(std::int64_t v) { raw(&v, sizeof(v)); }
   void f64(double v);  // exact bit pattern
   void str(std::string_view s);
+  /// The elements' bytes, back to back (no count: the message layout
+  /// carries it).
+  template <typename T>
+  void array(std::span<const T> v) {
+    raw(v.data(), v.size_bytes());
+  }
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
   [[nodiscard]] const std::string& data() const noexcept { return buf_; }
   [[nodiscard]] std::string take() { return std::move(buf_); }
@@ -85,6 +108,16 @@ class Reader {
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
 
+  /// `n` elements written by Writer::array; checks the bytes are there
+  /// before it allocates.
+  template <typename T>
+  void array(std::vector<T>& out, std::size_t n) {
+    need_elements(n, sizeof(T));
+    out.resize(n);
+    if (n > 0) std::memcpy(out.data(), data_.data() + pos_, n * sizeof(T));
+    pos_ += n * sizeof(T);
+  }
+
   /// Reject a collection count that could not possibly fit in the remaining
   /// bytes (each element needs >= min_bytes) before anything allocates.
   void check_count(std::uint64_t count, std::size_t min_bytes) const;
@@ -95,6 +128,7 @@ class Reader {
 
  private:
   void need(std::size_t n) const;
+  void need_elements(std::size_t n, std::size_t size) const;
   std::string_view data_;
   std::size_t pos_ = 0;
 };
@@ -147,6 +181,8 @@ struct ErrorMsg {
 
 /// Wrap a packed payload in the versioned CRC frame.
 [[nodiscard]] std::string frame(MsgType type, std::string_view payload);
+/// frame(), appended to `out` (one buffer for a whole conversation).
+void append_frame(std::string& out, MsgType type, std::string_view payload);
 
 struct Frame {
   MsgType type = MsgType::kError;

@@ -13,6 +13,7 @@
 #include "warehouse/aggstate.h"
 #include "warehouse/kernels.h"
 #include "warehouse/partial.h"
+#include "warehouse/tuple_index.h"
 
 namespace supremm::warehouse {
 
@@ -156,18 +157,6 @@ struct PackedKey {
   std::array<std::uint64_t, kMaxGroupKeys> w{};
   bool operator==(const PackedKey&) const = default;
 };
-
-/// splitmix64 finalizer chained over a word tuple.
-std::uint64_t hash_words(const std::uint64_t* words, std::size_t n) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t z = h ^ words[i];
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    h = z ^ (z >> 31);
-  }
-  return h;
-}
 
 struct PackedKeyHash {
   std::size_t operator()(const PackedKey& k) const noexcept {
@@ -668,23 +657,6 @@ KeyRef make_key_ref(const Column& c) {
   return ref;
 }
 
-partial::KeyValue make_key_value(const Column& c, std::size_t r) {
-  partial::KeyValue v;
-  v.type = c.type();
-  switch (c.type()) {
-    case ColType::kString:
-      v.str = std::string(c.as_string(r));
-      break;
-    case ColType::kInt64:
-      v.i64 = c.as_int64(r);
-      break;
-    case ColType::kDouble:
-      v.bits = std::bit_cast<std::uint64_t>(c.as_double(r));
-      break;
-  }
-  return v;
-}
-
 /// Column references of one query, resolved once and shared by both
 /// aggregation contracts and by run_partial.
 struct ColumnRefs {
@@ -809,49 +781,6 @@ Groups aggregate_segments(const Table& table, const std::vector<std::string>& ke
   }
   return out;
 }
-
-/// Flat open-addressing index from fixed-width word tuples to dense ids,
-/// handed out in insertion order. Tuples live id-major in one array and
-/// slots hold ids; the table doubles at half load, so probes stay short
-/// and nothing is allocated per tuple.
-class TupleIndex {
- public:
-  explicit TupleIndex(std::size_t width) : width_(width), slots_(kInitialSlots, kEmpty) {}
-
-  /// Id of the `width` words at `key`, which becomes the next id if new.
-  std::uint32_t insert(const std::uint64_t* key) {
-    std::size_t mask = slots_.size() - 1;
-    std::size_t i = hash_words(key, width_) & mask;
-    for (; slots_[i] != kEmpty; i = (i + 1) & mask) {
-      if (std::equal(key, key + width_, this->key(slots_[i]))) return slots_[i];
-    }
-    const auto id = static_cast<std::uint32_t>(size_++);
-    keys_.insert(keys_.end(), key, key + width_);
-    slots_[i] = id;
-    if (2 * size_ > slots_.size()) {
-      slots_.assign(2 * slots_.size(), kEmpty);
-      mask = slots_.size() - 1;
-      for (std::uint32_t t = 0; t < size_; ++t) {
-        std::size_t j = hash_words(this->key(t), width_) & mask;
-        while (slots_[j] != kEmpty) j = (j + 1) & mask;
-        slots_[j] = t;
-      }
-    }
-    return id;
-  }
-
-  [[nodiscard]] const std::uint64_t* key(std::uint32_t id) const {
-    return keys_.data() + std::size_t{id} * width_;
-  }
-
- private:
-  static constexpr std::size_t kInitialSlots = 1024;
-  static constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
-  std::size_t width_;
-  std::size_t size_ = 0;
-  std::vector<std::uint64_t> keys_;  // [id * width + word]
-  std::vector<std::uint32_t> slots_;
-};
 
 /// The micro-cells of the time-partitioned contract (DESIGN.md §16) as
 /// sorted runs. A sub-tuple is the group-key words followed by the
@@ -1162,29 +1091,36 @@ partial::Partial Query::run_partial(const std::string& rank_column) const {
     std::iota(rank.begin(), rank.end(), std::int64_t{0});
   }
 
-  std::vector<const Column*> group_cols;
-  for (const auto& k : keys_) group_cols.push_back(&table_.col(k));
-  std::vector<const Column*> extra_cols;
-  for (const auto& name : extras) extra_cols.push_back(&table_.col(name));
-
   partial::Partial p;
   p.stats = scan.st;
   for (const auto& k : keys_) p.key_schema.emplace_back(k, table_.col(k).type());
   const std::size_t naggs = aggs_.size();
   p.naggs = naggs;
-  p.tuples.resize(runs.subs());
+  const std::uint32_t nsubs = static_cast<std::uint32_t>(runs.subs());
+
+  // Key columns from each sub-tuple's first match, worded as the engine
+  // keys them.
+  const auto key_column = [&](const Column& c) {
+    const KeyRef ref = make_key_ref(c);
+    std::vector<std::uint64_t> words(nsubs);
+    for (std::uint32_t s = 0; s < nsubs; ++s) {
+      words[s] = key_ref_word(ref, row_at(match_ptr, runs.sub_first[s]));
+    }
+    return partial::key_column(c, std::move(words));
+  };
+  for (const auto& k : keys_) p.group.push_back(key_column(table_.col(k)));
+  for (const auto& name : extras) p.extra.push_back(key_column(table_.col(name)));
+
+  p.rank = std::move(rank);
+  p.day_end.resize(nsubs);
   std::vector<AggState> cell(naggs);
-  for (std::uint32_t s = 0; s < runs.subs(); ++s) {
-    partial::TuplePartial& t = p.tuples[s];
-    const std::uint32_t r0 = row_at(match_ptr, runs.sub_first[s]);
-    for (const Column* c : group_cols) t.group.push_back(make_key_value(*c, r0));
-    for (const Column* c : extra_cols) t.extra.push_back(make_key_value(*c, r0));
-    t.rank = rank[s];
+  for (std::uint32_t s = 0; s < nsubs; ++s) {
     accumulate_sub(runs, s, refs.aggs, match_ptr, cancel_, cell.data(),
-                   [&t, naggs](std::int64_t day, const AggState* st) {
-                     t.days.push_back(day);
-                     t.states.insert(t.states.end(), st, st + naggs);
+                   [&p, naggs](std::int64_t day, const AggState* st) {
+                     p.days.push_back(day);
+                     p.states.insert(p.states.end(), st, st + naggs);
                    });
+    p.day_end[s] = static_cast<std::uint32_t>(p.days.size());
   }
   stats_ = p.stats;
   return p;

@@ -1,12 +1,17 @@
 // Unit tests for the common module: time, rng, strings, csv, thread pool,
-// ascii tables.
+// ascii tables, checksums.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "common/ascii_table.h"
+#include "common/checksum.h"
 #include "common/csv.h"
 #include "common/error.h"
 #include "common/rng.h"
@@ -15,6 +20,27 @@
 #include "common/time.h"
 
 namespace sc = supremm::common;
+
+namespace {
+
+/// The textbook bytewise CRC-32 (reflected 0xEDB88320, one 256-entry table,
+/// one byte per step): the reference the fast path must equal everywhere.
+std::uint32_t reference_crc32(std::string_view data, std::uint32_t seed = 0) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t n = 0; n < 256; ++n) {
+      std::uint32_t c = n;
+      for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      t[n] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = seed ^ 0xffffffffu;
+  for (const char ch : data) c = table[(c ^ static_cast<std::uint8_t>(ch)) & 0xffu] ^ (c >> 8);
+  return c ^ 0xffffffffu;
+}
+
+}  // namespace
 
 // --- time -------------------------------------------------------------------
 
@@ -384,6 +410,55 @@ TEST(AsciiTable, Bar) {
 }
 
 // --- errors -------------------------------------------------------------
+
+// --- checksum ---------------------------------------------------------------
+// Every archive block, manifest and wire frame is verified with crc32, so a
+// fast path that drifts from the standard values would make every archive
+// already on disk unreadable.
+
+TEST(Checksum, Crc32KnownAnswers) {
+  EXPECT_EQ(sc::crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(sc::crc32(""), 0u);
+  EXPECT_EQ(sc::crc32("", 0xdeadbeefu), 0xdeadbeefu);
+  EXPECT_EQ(sc::crc32("The quick brown fox jumps over the lazy dog"), 0x414FA339u);
+  EXPECT_EQ(sc::crc32(std::string(32, '\0')), 0x190A55ADu);
+}
+
+TEST(Checksum, Crc32SeedContinuesAStream) {
+  sc::RngStream g(20130527, "crc.stream", 0);
+  std::string data(10000, '\0');
+  for (char& ch : data) ch = static_cast<char>(g.uniform_int(0, 255));
+  const std::uint32_t whole = sc::crc32(data);
+  for (const std::size_t cut : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                                std::size_t{8}, std::size_t{9}, std::size_t{4099},
+                                data.size() - 1, data.size()}) {
+    const std::string_view v(data);
+    EXPECT_EQ(sc::crc32(v.substr(cut), sc::crc32(v.substr(0, cut))), whole) << cut;
+  }
+  // Many short pieces, each shorter than one 8-byte step.
+  std::uint32_t c = 0;
+  for (std::size_t at = 0; at < data.size(); at += 5) {
+    c = sc::crc32(std::string_view(data).substr(at, 5), c);
+  }
+  EXPECT_EQ(c, whole);
+}
+
+TEST(Checksum, Crc32MatchesBytewiseAtEveryLengthAndAlignment) {
+  constexpr std::size_t kMaxLen = 4099;
+  constexpr std::size_t kAlignments = 8;
+  sc::RngStream g(20130313, "crc.random", 0);
+  std::string buf(kMaxLen + kAlignments, '\0');
+  for (char& ch : buf) ch = static_cast<char>(g.uniform_int(0, 255));
+  for (std::size_t align = 0; align < kAlignments; ++align) {
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const std::string_view v(buf.data() + align, len);
+      ASSERT_EQ(sc::crc32(v), reference_crc32(v)) << "len " << len << " align " << align;
+    }
+  }
+  // A non-zero seed takes the same path.
+  const std::string_view v(buf.data() + 3, 1000);
+  EXPECT_EQ(sc::crc32(v, 0x12345678u), reference_crc32(v, 0x12345678u));
+}
 
 TEST(Errors, Hierarchy) {
   EXPECT_THROW(throw supremm::ParseError("x"), supremm::Error);

@@ -158,6 +158,30 @@ std::string request_bytes(const sv::QuerySpec& spec) {
          wire::frame(wire::MsgType::kQuery, wire::pack_query({spec, 0, "job_id"}));
 }
 
+wh::partial::KeyColumn string_column(std::vector<std::string> dict,
+                                     std::vector<std::uint32_t> codes) {
+  wh::partial::KeyColumn c;
+  c.type = wh::ColType::kString;
+  c.dict = std::move(dict);
+  c.codes = std::move(codes);
+  return c;
+}
+
+/// One tuple keyed by user "u" at `level`, one single-aggregate state per
+/// entry of `days`.
+wh::partial::Partial user_partial(wh::partial::Level level, std::vector<std::int64_t> days) {
+  wh::partial::Partial p;
+  p.naggs = 1;
+  p.level = level;
+  p.key_schema = {{"user", wh::ColType::kString}};
+  p.group = {string_column({"u"}, {0})};
+  p.rank = {3};
+  p.day_end = {static_cast<std::uint32_t>(days.size())};
+  p.states.resize(days.size());
+  p.days = std::move(days);
+  return p;
+}
+
 /// One shard per cluster of a rollup population (c0, c1, c2): every shard
 /// holds its cluster exclusively.
 std::vector<std::vector<etl::JobSummary>> cluster_slices(
@@ -870,29 +894,40 @@ TEST(FederationWire, MessageRoundTripsPreserveBits) {
   EXPECT_EQ(std::signbit(rt.spec.where[1].lo), true);
   EXPECT_NE(rt.spec.where[1].hi, rt.spec.where[1].hi);  // NaN survived
 
+  // String, double and int64 key columns: an embedded NUL survives
+  // length-prefixed dictionary strings, -0.0 and a NaN payload survive as
+  // bit patterns.
   wire::PartialMsg p;
   p.rollup_served = true;
-  p.partial.naggs = 1;
-  p.partial.key_schema = {{"user", wh::ColType::kString}};
-  wh::partial::TuplePartial tp;
-  wh::partial::KeyValue kv;
-  kv.type = wh::ColType::kString;
-  kv.str = std::string("u\0x", 3);  // embedded NUL survives length-prefixed strings
-  tp.group = {kv};
-  tp.rank = -5;
-  tp.days = {-3, 0, 7};
-  tp.states.resize(3);
-  tp.states[0].sum = -0.0;
-  tp.states[1].mn = kNaN;
-  tp.states[2].n = 42;
-  p.partial.tuples = {tp};
+  p.partial = user_partial(wh::partial::Level::kDays, {-3, 0, 7});
+  p.partial.group[0].dict = {std::string("u\0x", 3)};
+  p.partial.rank = {-5};
+  wh::partial::KeyColumn dbl;
+  dbl.type = wh::ColType::kDouble;
+  dbl.words = {0x7ff8000000000123ull};
+  wh::partial::KeyColumn i64;
+  i64.type = wh::ColType::kInt64;
+  i64.words = {static_cast<std::uint64_t>(std::int64_t{-7})};
+  p.partial.extra = {dbl, i64};
+  p.partial.states[0].sum = -0.0;
+  p.partial.states[1].mn = kNaN;
+  p.partial.states[2].n = 42;
   const wire::PartialMsg prt = wire::unpack_partial(wire::pack_partial(p));
-  ASSERT_EQ(prt.partial.tuples.size(), 1u);
+  ASSERT_EQ(prt.partial.tuples(), 1u);
   EXPECT_TRUE(prt.rollup_served);
-  EXPECT_EQ(prt.partial.tuples[0].days, (std::vector<std::int64_t>{-3, 0, 7}));
-  EXPECT_TRUE(std::signbit(prt.partial.tuples[0].states[0].sum));
-  EXPECT_NE(prt.partial.tuples[0].states[1].mn, prt.partial.tuples[0].states[1].mn);
-  EXPECT_EQ(prt.partial.tuples[0].states[2].n, 42);
+  EXPECT_EQ(prt.partial.group[0].dict, p.partial.group[0].dict);
+  EXPECT_EQ(prt.partial.group[0].codes, (std::vector<std::uint32_t>{0}));
+  ASSERT_EQ(prt.partial.extra.size(), 2u);
+  EXPECT_EQ(prt.partial.extra[0].type, wh::ColType::kDouble);
+  EXPECT_EQ(prt.partial.extra[0].words, dbl.words);
+  EXPECT_EQ(prt.partial.extra[1].type, wh::ColType::kInt64);
+  EXPECT_EQ(prt.partial.extra[1].words, i64.words);
+  EXPECT_EQ(prt.partial.rank, (std::vector<std::int64_t>{-5}));
+  EXPECT_EQ(prt.partial.day_end, (std::vector<std::uint32_t>{3}));
+  EXPECT_EQ(prt.partial.days, (std::vector<std::int64_t>{-3, 0, 7}));
+  EXPECT_TRUE(std::signbit(prt.partial.states[0].sum));
+  EXPECT_NE(prt.partial.states[1].mn, prt.partial.states[1].mn);
+  EXPECT_EQ(prt.partial.states[2].n, 42);
 }
 
 TEST(FederationWire, ServeRejectsMalformedRequestsWithoutCrashing) {
@@ -1023,16 +1058,7 @@ TEST(FederationWire, CorruptedResponsesAreSourcedPlannerErrors) {
   // A day list that is not strictly ascending must be rejected by the
   // decoder (it would silently break the fold otherwise).
   wire::PartialMsg bad;
-  bad.partial.naggs = 1;
-  bad.partial.key_schema = {{"user", wh::ColType::kString}};
-  wh::partial::TuplePartial tp;
-  wh::partial::KeyValue kv;
-  kv.type = wh::ColType::kString;
-  kv.str = "u";
-  tp.group = {kv};
-  tp.days = {5, 5};
-  tp.states.resize(2);
-  bad.partial.tuples = {tp};
+  bad.partial = user_partial(wh::partial::Level::kDays, {5, 5});
   EXPECT_THROW((void)wire::unpack_partial(wire::pack_partial(bad)), sc::ParseError);
 }
 
@@ -1046,24 +1072,13 @@ TEST(FederationWire, FoldLevelsRoundTripAndAreValidated) {
 
   // A group total: one day entry, no extra keys.
   wire::PartialMsg p;
-  p.partial.naggs = 1;
-  p.partial.level = Level::kGroups;
-  p.partial.key_schema = {{"user", wh::ColType::kString}};
-  wh::partial::TuplePartial tp;
-  wh::partial::KeyValue kv;
-  kv.type = wh::ColType::kString;
-  kv.str = "u";
-  tp.group = {kv};
-  tp.rank = 3;
-  tp.days = {12};
-  tp.states.resize(1);
-  tp.states[0].n = 9;
-  p.partial.tuples = {tp};
+  p.partial = user_partial(Level::kGroups, {12});
+  p.partial.states[0].n = 9;
   const wire::PartialMsg prt = wire::unpack_partial(wire::pack_partial(p));
   EXPECT_EQ(prt.partial.level, Level::kGroups);
-  ASSERT_EQ(prt.partial.tuples.size(), 1u);
-  EXPECT_EQ(prt.partial.tuples[0].days, (std::vector<std::int64_t>{12}));
-  EXPECT_EQ(prt.partial.tuples[0].states[0].n, 9);
+  ASSERT_EQ(prt.partial.tuples(), 1u);
+  EXPECT_EQ(prt.partial.days, (std::vector<std::int64_t>{12}));
+  EXPECT_EQ(prt.partial.states[0].n, 9);
 
   // A level above groups, in either direction.
   wire::QueryMsg bad_query{spec, 0, "job_id", static_cast<Level>(3)};
@@ -1074,21 +1089,17 @@ TEST(FederationWire, FoldLevelsRoundTripAndAreValidated) {
 
   // A folded tuple whose day list is not exactly one entry.
   for (const Level level : {Level::kTuples, Level::kGroups}) {
-    wire::PartialMsg two_days = p;
-    two_days.partial.level = level;
-    two_days.partial.tuples[0].days = {12, 13};
-    two_days.partial.tuples[0].states.resize(2);
+    wire::PartialMsg two_days;
+    two_days.partial = user_partial(level, {12, 13});
     EXPECT_THROW((void)wire::unpack_partial(wire::pack_partial(two_days)), sc::ParseError);
-    wire::PartialMsg no_days = p;
-    no_days.partial.level = level;
-    no_days.partial.tuples[0].days.clear();
-    no_days.partial.tuples[0].states.clear();
+    wire::PartialMsg no_days;
+    no_days.partial = user_partial(level, {});
     EXPECT_THROW((void)wire::unpack_partial(wire::pack_partial(no_days)), sc::ParseError);
   }
 
   // A group total with extra keys; the same tuple is legal as a tuple total.
   wire::PartialMsg extra = p;
-  extra.partial.tuples[0].extra = {kv};
+  extra.partial.extra = {string_column({"c0"}, {0})};
   EXPECT_THROW((void)wire::unpack_partial(wire::pack_partial(extra)), sc::ParseError);
   extra.partial.level = Level::kTuples;
   EXPECT_NO_THROW((void)wire::unpack_partial(wire::pack_partial(extra)));

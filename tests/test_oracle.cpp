@@ -226,11 +226,11 @@ TEST(OracleDifferential, TimePartitionedEdgesAgree) {
 
       if (&c == &cases.front()) {
         // The table really reaches the edges it is built for.
-        EXPECT_GT(part.tuples.size(), 65536u);
+        EXPECT_GT(part.tuples(), 65536u);
         std::int64_t lo = 0, hi = 0;
-        for (const auto& tp : part.tuples) {
-          lo = std::min(lo, tp.days.front());
-          hi = std::max(hi, tp.days.back());
+        for (const std::int64_t day : part.days) {
+          lo = std::min(lo, day);
+          hi = std::max(hi, day);
         }
         EXPECT_LE(lo, -(std::int64_t{1} << 46));
         EXPECT_GE(hi, (std::int64_t{1} << 46) - 1);
